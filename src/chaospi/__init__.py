@@ -23,7 +23,7 @@ from .eaf import (
     standard_levels,
 )
 from .metrics import directional_symmetry, piaw, picp, smape
-from .nsga2 import Individual, NsgaParams, Problem, dominates, run as nsga2_run
+from .nsga2 import NsgaParams, Problem, dominates, run as nsga2_run
 from .pipeline import (
     ArModel,
     ExperimentReport,
@@ -40,17 +40,13 @@ from .pipeline import (
     pi_bounds,
     run_experiment,
     run_model,
-    run_three_stage,
-    run_two_stage,
     select_interval_params,
     select_point_model,
 )
 from .series import (
-    SplitSeries,
     SummaryStats,
     TimeSeries,
     load_series,
-    split_last_k,
     summarize,
     write_series,
 )

@@ -39,15 +39,22 @@ from .nsga2 import NsgaParams
 from .pipeline import ExperimentReport, PipelineConfig, RunResult
 from .series import TimeSeries, load_series
 
+# Keys of the "chaos" and "stage2"/"stage3" config blocks: (kind, may be null).
 _CHAOS_KEYS = {
-    "max_lag",
-    "cao_max_dim",
-    "cao_threshold",
-    "theiler_window",
-    "k_max",
-    "fit_start",
-    "fit_stop",
+    "max_lag": (int, True),
+    "cao_max_dim": (int, False),
+    "cao_threshold": (float, False),
+    "theiler_window": (int, True),
+    "k_max": (int, True),
+    "fit_start": (int, False),
+    "fit_stop": (int, True),
 }
+_NSGA_KEYS = {
+    f.name: (float if "float" in str(f.type) else int, "None" in str(f.type))
+    for f in fields(NsgaParams)
+}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string", list: "a list"}
 _TOP_KEYS = {
     "input",
     "column",
@@ -133,26 +140,46 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
-def _nsga_params(raw: Any, label: str, default: NsgaParams) -> NsgaParams:
+def _typed(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
+    """Check one config value against its JSON kind and return it.
+
+    Integers must be JSON integers (a boolean is not one), numbers accept
+    integers and come back as floats, booleans must be JSON booleans.
+    """
+    if value is None and nullable:
+        return None
+    if kind in (int, float):
+        ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        null = " or null" if nullable else ""
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}{null}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _block(raw: Any, label: str, keys: dict[str, tuple[type, bool]]) -> dict:
+    """Type-check a nested config object against its key table."""
     if raw is None:
-        return default
+        return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{label} must be an object")
-    allowed = {f.name for f in fields(NsgaParams)}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
-    return replace(default, **raw)
+    checked = {}
+    for key, value in raw.items():
+        kind, nullable = keys[key]
+        checked[key] = _typed(value, kind, f"{label}.{key}", nullable)
+    return checked
+
+
+def _nsga_params(raw: Any, label: str, default: NsgaParams) -> NsgaParams:
+    return replace(default, **_block(raw, label, _NSGA_KEYS))
 
 
 def _chaos_opts(raw: Any) -> AnalyzeOptions:
-    if raw is None:
-        return AnalyzeOptions()
-    if not isinstance(raw, dict):
-        raise ConfigError("chaos must be an object")
-    unknown = set(raw) - _CHAOS_KEYS
-    if unknown:
-        raise ConfigError(f"unknown chaos keys: {sorted(unknown)}")
+    raw = _block(raw, "chaos", _CHAOS_KEYS)
     ros = RosensteinOptions(
         theiler_window=raw.get("theiler_window"),
         k_max=raw.get("k_max"),
@@ -178,34 +205,34 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
     """Merge defaults, config file, and flags into one run setup."""
     cfg = _load_config_file(getattr(args, "config", None))
 
-    def pick(flag: str, key: str, default=None):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return cfg.get(key, default)
+    def pick(flag: str | None, key: str, kind: type, default=None, nullable=False):
+        v = getattr(args, flag, None) if flag else None
+        if v is None:
+            v = cfg.get(key, default)
+        return _typed(v, kind, key, nullable)
 
     meta = {
-        "input": pick("input", "input"),
-        "column": pick("column", "column"),
-        "out": pick("out", "out", "."),
-        "workers": int(cfg.get("workers", 1)),
+        "input": pick("input", "input", str, nullable=True),
+        "column": pick("column", "column", str, nullable=True),
+        "out": pick("out", "out", str, "."),
+        "workers": pick(None, "workers", int, 1),
     }
 
     base = PipelineConfig(
-        model=pick("model", "model", "two_stage"),
-        test_horizon=int(pick("test_horizon", "test_horizon", 6)),
-        tau=_maybe_int(pick("tau", "tau")),
-        m=_maybe_int(pick("m", "m")),
+        model=pick("model", "model", str, "two_stage"),
+        test_horizon=pick("test_horizon", "test_horizon", int, 6),
+        tau=pick("tau", "tau", int, nullable=True),
+        m=pick("m", "m", int, nullable=True),
         chaos=_chaos_opts(cfg.get("chaos")),
-        grid_step=float(cfg.get("grid_step", 0.01)),
-        picp_target=float(cfg.get("picp_target", 0.95)),
-        point_policy=cfg.get("point_policy", "min_smape"),
-        interval_policy=cfg.get("interval_policy", "max_picp"),
-        picp_threshold=float(cfg.get("picp_threshold", 0.95)),
-        standardize=bool(cfg.get("standardize", False)),
-        seed=int(cfg.get("seed", 0)),
+        grid_step=pick(None, "grid_step", float, 0.01),
+        picp_target=pick(None, "picp_target", float, 0.95),
+        point_policy=pick(None, "point_policy", str, "min_smape"),
+        interval_policy=pick(None, "interval_policy", str, "max_picp"),
+        picp_threshold=pick(None, "picp_threshold", float, 0.95),
+        standardize=pick(None, "standardize", bool, False),
+        seed=pick(None, "seed", int, 0),
     )
-    preset = cfg.get("preset")
+    preset = pick(None, "preset", str, nullable=True)
     if preset is not None:
         base = pipeline.apply_preset(base, preset)
     base = replace(
@@ -218,20 +245,16 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
     if seeds_flag is not None:
         seeds = _parse_seeds(seeds_flag)
     elif "seeds" in cfg:
-        seeds = [int(s) for s in cfg["seeds"]]
+        seeds = [_typed(s, int, "seeds entry") for s in pick(None, "seeds", list)]
     else:
-        seed_base = int(cfg.get("seed_base", 0))
-        seed_count = int(cfg.get("seed_count", 20))
+        seed_base = pick(None, "seed_base", int, 0)
+        seed_count = pick(None, "seed_count", int, 20)
         if seed_count < 1:
             raise ConfigError("seed_count must be >= 1")
         seeds = list(range(seed_base, seed_base + seed_count))
     if not seeds:
         raise ConfigError("seed list is empty")
     return meta, base, seeds
-
-
-def _maybe_int(v):
-    return None if v is None else int(v)
 
 
 def _read_input(meta: dict) -> TimeSeries:

@@ -5,6 +5,11 @@ Implemented from first principles after Deb, Pratap, Agarwal & Meyarivan
 selection under the crowded comparison operator, simulated binary crossover
 (SBX), polynomial mutation, and (mu + lambda) elitist replacement.
 
+The population is held as arrays: decision vectors ``X`` of shape
+``(pop, n_vars)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
+crowding distance as per-row arrays alongside. Survivor selection returns
+row indices into the merged parents + offspring arrays.
+
 Both objectives are minimized. Callers wanting to maximize an objective
 negate it and un-negate on the way out; the engine never special-cases
 orientation.
@@ -17,8 +22,7 @@ runs bit for bit. Objective evaluations happen in population index order.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,16 +95,6 @@ class NsgaParams:
             raise ConfigError("distribution indices must be positive")
 
 
-@dataclass
-class Individual:
-    """A candidate solution with cached objectives and sort bookkeeping."""
-
-    x: np.ndarray
-    f: tuple[float, float] | None = None
-    rank: int = -1
-    crowding: float = 0.0
-
-
 def dominates(f_a: Sequence[float], f_b: Sequence[float]) -> bool:
     """True when ``f_a`` is no worse in both objectives and better in one."""
     return (
@@ -110,12 +104,15 @@ def dominates(f_a: Sequence[float], f_b: Sequence[float]) -> bool:
     )
 
 
-def _front_indices(objs: np.ndarray) -> list[np.ndarray]:
+def nondominated_fronts(objs: np.ndarray) -> list[np.ndarray]:
     """Peel Pareto fronts from an (n, 2) objective array.
 
-    Builds the full domination matrix with broadcasting, then repeatedly
-    extracts the set with no remaining dominators.
+    Returns row index arrays, best front first, each in ascending row
+    order; every row appears exactly once. Builds the full domination
+    matrix with broadcasting, then repeatedly extracts the set with no
+    remaining dominators.
     """
+    objs = np.asarray(objs, dtype=float)
     f1 = objs[:, 0]
     f2 = objs[:, 1]
     no_worse = (f1[:, None] <= f1[None, :]) & (f2[:, None] <= f2[None, :])
@@ -130,22 +127,6 @@ def _front_indices(objs: np.ndarray) -> list[np.ndarray]:
         n_dominators -= dom[current].sum(axis=0)
         current = np.flatnonzero(n_dominators == 0)
     return fronts
-
-
-def fast_nondominated_sort(population: list[Individual]) -> list[list[int]]:
-    """Partition a population into Pareto fronts and stamp each rank.
-
-    Returns front index lists, best first; every individual appears exactly
-    once.
-    """
-    objs = np.array([ind.f for ind in population], dtype=float)
-    fronts = _front_indices(objs)
-    out: list[list[int]] = []
-    for rank, front in enumerate(fronts):
-        for i in front:
-            population[i].rank = rank
-        out.append([int(i) for i in front])
-    return out
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -172,20 +153,21 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def tournament_select(population: list[Individual], rng: np.random.Generator) -> int:
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
+) -> int:
     """Binary tournament under the crowded comparison operator.
 
     Lower rank wins; equal ranks fall back to larger crowding distance; a
-    full tie is settled by a coin flip.
+    full tie is settled by a coin flip. Returns the winning row index.
     """
-    i, j = (int(v) for v in rng.integers(0, len(population), size=2))
+    i, j = (int(v) for v in rng.integers(0, rank.size, size=2))
     if i == j:
         return i
-    a, b = population[i], population[j]
-    if a.rank != b.rank:
-        return i if a.rank < b.rank else j
-    if a.crowding != b.crowding:
-        return i if a.crowding > b.crowding else j
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
     return i if int(rng.integers(0, 2)) == 0 else j
 
 
@@ -264,24 +246,21 @@ def polynomial_mutation(
     return y
 
 
-def _evaluate(problem: Problem, ind: Individual) -> None:
-    f1, f2 = problem.evaluate(ind.x)
-    ind.f = (float(f1), float(f2))
+def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
+    F = np.empty((X.shape[0], 2))
+    for k, x in enumerate(X):
+        F[k] = problem.evaluate(x)
+    return F
 
 
-def _rank_and_crowd(population: list[Individual]) -> list[list[int]]:
-    fronts = fast_nondominated_sort(population)
-    for front in fronts:
-        objs = np.array([population[i].f for i in front], dtype=float)
-        dists = crowding_distance(objs)
-        for i, d in zip(front, dists):
-            population[i].crowding = float(d)
-    return fronts
-
-
-def _select_next(population: list[Individual], pop_size: int) -> list[Individual]:
+def _select_next(
+    objs: np.ndarray, pop_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elitist (mu + lambda) replacement: fill front by front, truncating the
     overflow front by descending crowding distance with index as tie-break.
+
+    Returns the surviving row indices of ``objs`` in their new population
+    order, with the rank and crowding distance each got in this sort.
 
     Elitism here is weaker than "front 0 never regresses". A front-0 point
     of the parents that no survivor weakly dominates can only be lost when
@@ -292,85 +271,64 @@ def _select_next(population: list[Individual], pop_size: int) -> list[Individual
     So once front 0 saturates it may lose interior points, while the best
     value of each objective never worsens.
     """
-    fronts = _rank_and_crowd(population)
-    chosen: list[Individual] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= pop_size:
-            chosen.extend(population[i] for i in front)
-            if len(chosen) == pop_size:
-                break
-            continue
-        crowd = np.array([population[i].crowding for i in front])
-        idx = np.array(front)
-        order = np.lexsort((idx, -crowd))
-        need = pop_size - len(chosen)
-        chosen.extend(population[idx[k]] for k in order[:need])
-        break
-    return chosen
-
-
-def front0(population: list[Individual]) -> list[Individual]:
-    """Non-dominated members of a population, in population order."""
-    objs = np.array([ind.f for ind in population], dtype=float)
-    return [population[i] for i in _front_indices(objs)[0]]
+    keep, rank, crowding = [], [], []
+    kept = 0
+    for r, front in enumerate(nondominated_fronts(objs)):
+        dist = crowding_distance(objs[front])
+        room = pop_size - kept
+        if front.size > room:
+            order = np.lexsort((front, -dist))[:room]
+            front, dist = front[order], dist[order]
+        keep.append(front)
+        rank.append(np.full(front.size, r))
+        crowding.append(dist)
+        kept += front.size
+        if kept == pop_size:
+            break
+    return np.concatenate(keep), np.concatenate(rank), np.concatenate(crowding)
 
 
 def run(
     problem: Problem,
     params: NsgaParams,
-    on_generation: Callable[[int, list[Individual]], None] | None = None,
-    trace_path: str | None = None,
-) -> list[Individual]:
-    """Run the full loop and return a deep copy of the final front 0.
+    on_generation: Callable[[int, np.ndarray], None] | None = None,
+) -> list[tuple[np.ndarray, tuple[float, float]]]:
+    """Run the full loop and return front 0 of the final population as
+    ``(x, f)`` pairs in population order; each ``x`` is a fresh array.
 
     ``on_generation`` fires after each survivor selection (and once for the
-    evaluated initial population) with the generation number and the current
-    population; mutating either is a caller bug. ``trace_path`` optionally
-    writes one ``generation,front0_size,best_f1,best_f2`` CSV row per
-    generation.
+    evaluated initial population) with the generation number and the
+    ``(pop, 2)`` objective array; mutating it is a caller bug.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     lower, upper = problem.lower, problem.upper
 
-    mat = rng.uniform(lower, upper, size=(params.pop_size, problem.n_vars))
-    population = [Individual(x=mat[i].copy()) for i in range(params.pop_size)]
-    for ind in population:
-        _evaluate(problem, ind)
-    _rank_and_crowd(population)
-
-    trace = open(trace_path, "w") if trace_path is not None else None
-    try:
-        if trace:
-            trace.write("generation,front0_size,best_f1,best_f2\n")
-        _observe(0, population, on_generation, trace)
-        for gen in range(1, params.generations + 1):
-            offspring: list[Individual] = []
-            for _ in range(params.pop_size // 2):
-                i = tournament_select(population, rng)
-                j = tournament_select(population, rng)
-                c1, c2 = sbx_crossover(
-                    population[i].x, population[j].x, lower, upper, params, rng
-                )
-                for child in (c1, c2):
-                    if rng.random() < params.mutation_prob:
-                        child = polynomial_mutation(child, lower, upper, params, rng)
-                    offspring.append(Individual(x=child))
-            for ind in offspring:
-                _evaluate(problem, ind)
-            population = _select_next(population + offspring, params.pop_size)
-            _observe(gen, population, on_generation, trace)
-    finally:
-        if trace:
-            trace.close()
-    return copy.deepcopy(front0(population))
-
-
-def _observe(gen, population, on_generation, trace) -> None:
+    X = rng.uniform(lower, upper, size=(params.pop_size, problem.n_vars))
+    F = _evaluate(problem, X)
+    # the initial population keeps its order; only rank and crowding are set
+    order, r, c = _select_next(F, params.pop_size)
+    rank, crowding = np.empty_like(r), np.empty_like(c)
+    rank[order], crowding[order] = r, c
     if on_generation is not None:
-        on_generation(gen, population)
-    if trace is not None:
-        best = front0(population)
-        objs = np.array([ind.f for ind in best], dtype=float)
-        trace.write(
-            f"{gen},{len(best)},{float(objs[:, 0].min())!r},{float(objs[:, 1].min())!r}\n"
-        )
+        on_generation(0, F)
+
+    for gen in range(1, params.generations + 1):
+        children = []
+        for _ in range(params.pop_size // 2):
+            i = tournament_select(rank, crowding, rng)
+            j = tournament_select(rank, crowding, rng)
+            for child in sbx_crossover(X[i], X[j], lower, upper, params, rng):
+                if rng.random() < params.mutation_prob:
+                    child = polynomial_mutation(child, lower, upper, params, rng)
+                children.append(child)
+        offspring = np.array(children)
+        X = np.concatenate([X, offspring])
+        F = np.concatenate([F, _evaluate(problem, offspring)])
+        keep, rank, crowding = _select_next(F, params.pop_size)
+        X, F = X[keep], F[keep]
+        if on_generation is not None:
+            on_generation(gen, F)
+
+    # survivors keep their merged-sort rank, and rank 0 is front 0 of the
+    # survivors: a truncated front 0 leaves no other rank behind
+    return [(X[i].copy(), (float(F[i, 0]), float(F[i, 1]))) for i in np.flatnonzero(rank == 0)]

@@ -293,10 +293,9 @@ def fit_stage2(
         upper=np.full(emb.m + 1, bound),
         evaluate=evaluate,
     )
-    front = nsga_run(problem, params)
     return [
-        Stage2Solution(model=ArModel(ind.x.copy(), emb), smape=ind.f[0], ds=-ind.f[1])
-        for ind in front
+        Stage2Solution(model=ArModel(x, emb), smape=f[0], ds=-f[1])
+        for x, f in nsga_run(problem, params)
     ]
 
 
@@ -418,14 +417,13 @@ def fit_stage3(
         upper=np.full(n_vars, 1.0 - _BOUND_MARGIN),
         evaluate=evaluate,
     )
-    front = nsga_run(problem, params)
     return [
         Stage3Solution(
-            params=IntervalParams(r1=float(ind.x[0]), r2=float(ind.x[-1]), sigma=float(sigma)),
-            picp=-ind.f[0],
-            piaw=ind.f[1],
+            params=IntervalParams(r1=float(x[0]), r2=float(x[-1]), sigma=float(sigma)),
+            picp=-f[0],
+            piaw=f[1],
         )
-        for ind in front
+        for x, f in nsga_run(problem, params)
     ]
 
 
@@ -567,29 +565,6 @@ def _run_seeded(
         front=front,
         front_objectives=front_objectives,
     )
-
-
-def run_two_stage(series: TimeSeries, config: PipelineConfig) -> RunResult:
-    """Grid-search interval model; uses ``config.seed``."""
-    cfg = replace(config, model="two_stage")
-    chaos = analyze(series, _chaos_options(cfg))
-    return _run_seeded(series, cfg, chaos, cfg.seed)
-
-
-def run_three_stage(
-    series: TimeSeries, config: PipelineConfig, variant: str | None = None
-) -> RunResult:
-    """NSGA-II interval model; ``variant`` overrides the config's model kind."""
-    if variant is not None:
-        if variant not in ("single", "dual"):
-            raise ConfigError(f"variant must be 'single' or 'dual', got {variant!r}")
-        cfg = replace(config, model=f"three_stage_{variant}")
-    else:
-        cfg = config if config.model.startswith("three_stage") else replace(
-            config, model="three_stage_single"
-        )
-    chaos = analyze(series, _chaos_options(cfg))
-    return _run_seeded(series, cfg, chaos, cfg.seed)
 
 
 def run_model(series: TimeSeries, config: PipelineConfig) -> tuple[RunResult, ChaosReport]:

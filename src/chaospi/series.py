@@ -1,4 +1,4 @@
-"""Univariate series ingestion, summaries, and chronological splits.
+"""Univariate series ingestion and summaries.
 
 Accepted CSV shapes:
 
@@ -18,13 +18,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptySeriesError,
-    InvalidSplitError,
     MissingFileError,
     NonFiniteValueError,
     ParseError,
@@ -66,20 +65,6 @@ class SummaryStats:
     std_dev: float
     minimum: float
     maximum: float
-
-
-@dataclass
-class SplitSeries:
-    """A chronological split; ``split_index`` is the 0-based index of the
-    last training observation in the original series."""
-
-    train: TimeSeries
-    test: TimeSeries
-    split_index: int
-
-    def __post_init__(self):
-        if len(self.test) < 1 or len(self.train) < 1:
-            raise InvalidSplitError("both split halves need at least one observation")
 
 
 def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSeries:
@@ -176,17 +161,6 @@ def summarize(series: TimeSeries) -> SummaryStats:
         minimum=float(np.min(v)),
         maximum=float(np.max(v)),
     )
-
-
-def split_last_k(series: TimeSeries, k: int) -> SplitSeries:
-    """Hold out the last ``k`` observations as the test segment."""
-    n = len(series)
-    if not 1 <= k < n:
-        raise InvalidSplitError(f"k must be in [1, {n - 1}], got {k}")
-    lv, lt = series.labels, None
-    train = TimeSeries(series.values[: n - k].copy(), lv[: n - k] if lv else None)
-    test = TimeSeries(series.values[n - k :].copy(), lv[n - k :] if lv else None)
-    return SplitSeries(train=train, test=test, split_index=n - k - 1)
 
 
 def _is_float(cell: str) -> bool:

@@ -17,7 +17,7 @@ from chaospi import cli
 from chaospi.chaos import AnalyzeOptions, EmbeddingParams, RosensteinOptions, analyze, cao_min_dimension, lyapunov_rosenstein
 from chaospi.eaf import FrontEnsemble, attainment_surface, attained_count, standard_levels, surface_value
 from chaospi.metrics import directional_symmetry, piaw, picp, smape
-from chaospi.nsga2 import Individual, NsgaParams, Problem, fast_nondominated_sort, front0, run as nsga_run
+from chaospi.nsga2 import NsgaParams, Problem, nondominated_fronts, run as nsga_run
 from chaospi.pipeline import PipelineConfig, apply_preset, fit_stage3, run_experiment
 from chaospi.series import TimeSeries, load_series, summarize, write_series
 from helpers import ar2_values, brute_force_fronts, elitism_violations, logistic_map, sine_wave
@@ -117,15 +117,15 @@ def zdt1_run():
                         crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0, seed=42)
     start = time.perf_counter()
     front = nsga_run(zdt1_problem(), params,
-                     on_generation=lambda g, pop: snapshots.append(
-                         np.array([ind.f for ind in front0(pop)])))
+                     on_generation=lambda g, F: snapshots.append(
+                         F[nondominated_fronts(F)[0]]))
     elapsed = time.perf_counter() - start
     return front, snapshots, elapsed, params
 
 
 def test_criterion_04a_zdt1_convergence(zdt1_run):
     front, _, elapsed, _ = zdt1_run
-    objs = np.array([ind.f for ind in front])
+    objs = np.array([f for _, f in front])
     gaps = np.abs(objs[:, 1] - (1.0 - np.sqrt(objs[:, 0])))
     mean_gap = float(gaps.mean())
     spread_ok = objs[:, 0].min() <= 0.05 and objs[:, 0].max() >= 0.95
@@ -170,8 +170,7 @@ def test_criterion_05_sort_oracle():
             objs = rng.integers(0, 8, size=(n, 2)).astype(float)  # heavy ties
         else:
             objs = rng.uniform(0.0, 1.0, size=(n, 2))
-        pop = [Individual(x=np.zeros(1), f=(float(f1), float(f2))) for f1, f2 in objs]
-        got = [sorted(front) for front in fast_nondominated_sort(pop)]
+        got = [sorted(front.tolist()) for front in nondominated_fronts(objs)]
         assert got == brute_force_fronts(objs), f"case {case} diverged"
     elapsed = time.perf_counter() - start
     verdict(5, "non-dominated sort oracle", True, f"500 populations, {elapsed:.1f}s")

@@ -193,6 +193,27 @@ def test_config_file_validation(tmp_path, series_csv, capsys):
     assert cli.main(["analyze", "--input", str(series_csv), "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"stage2": {"pop_size": "16"}},
+        {"workers": "four"},
+        {"seeds": 3},
+        {"chaos": {"cao_max_dim": "x"}},
+        {"seed_count": "x"},
+        {"test_horizon": 2.7},
+        {"standardize": "no"},
+    ],
+)
+def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                   "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_domain_errors_exit_one(tmp_path, series_csv, capsys):
     assert cli.main(["analyze", "--input", str(tmp_path / "missing.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from chaospi.errors import ConfigError
 from chaospi.nsga2 import (
-    Individual,
     NsgaParams,
     Problem,
+    _select_next,
     crowding_distance,
     dominates,
-    fast_nondominated_sort,
-    front0,
+    nondominated_fronts,
     polynomial_mutation,
     run,
     sbx_crossover,
@@ -23,11 +22,8 @@ from chaospi.nsga2 import (
 from helpers import brute_force_fronts, elitism_violations
 
 
-def make_population(objs):
-    pop = [Individual(x=np.array([float(i)])) for i in range(len(objs))]
-    for ind, f in zip(pop, objs):
-        ind.f = (float(f[0]), float(f[1]))
-    return pop
+def fronts_of(objs):
+    return [front.tolist() for front in nondominated_fronts(objs)]
 
 
 def test_dominates_truth_table():
@@ -38,15 +34,16 @@ def test_dominates_truth_table():
 
 
 def test_sort_known_case():
-    pop = make_population([(1, 3), (3, 1), (2, 2), (3, 3)])
-    fronts = fast_nondominated_sort(pop)
+    objs = np.array([(1, 3), (3, 1), (2, 2), (3, 3)], dtype=float)
+    fronts = fronts_of(objs)
     assert fronts == [[0, 1, 2], [3]]
-    assert [ind.rank for ind in pop] == [0, 0, 0, 1]
+    keep, rank, _ = _select_next(objs, len(objs))
+    assert keep.tolist() == [0, 1, 2, 3]
+    assert rank.tolist() == [0, 0, 0, 1]
 
 
 def test_sort_handles_duplicates():
-    pop = make_population([(1, 1), (1, 1), (2, 2)])
-    assert fast_nondominated_sort(pop) == [[0, 1], [2]]
+    assert fronts_of([(1, 1), (1, 1), (2, 2)]) == [[0, 1], [2]]
 
 
 @settings(max_examples=150)
@@ -59,8 +56,7 @@ def test_sort_handles_duplicates():
 )
 def test_sort_matches_brute_force(objs):
     # a small integer grid forces plenty of ties and duplicates
-    pop = make_population(objs)
-    got = [sorted(front) for front in fast_nondominated_sort(pop)]
+    got = [sorted(front) for front in fronts_of(objs)]
     assert got == brute_force_fronts(np.array(objs, dtype=float))
 
 
@@ -83,26 +79,21 @@ def test_crowding_ignores_flat_objective():
 
 def test_tournament_prefers_rank_then_crowding():
     rng = np.random.default_rng(0)
-    pop = make_population([(1, 1), (5, 5)])
-    pop[0].rank, pop[1].rank = 0, 1
-    wins = [tournament_select(pop, rng) for _ in range(400)]
+    rank, crowding = np.array([0, 1]), np.zeros(2)
+    wins = [tournament_select(rank, crowding, rng) for _ in range(400)]
     # the worse-ranked member can only come back via the i == j early
     # return, which happens in a quarter of the draws
     assert 0 in wins and wins.count(1) < wins.count(0)
 
-    pop = make_population([(1, 1), (1, 1)])
-    pop[0].rank = pop[1].rank = 0
-    pop[0].crowding, pop[1].crowding = 5.0, 1.0
-    wins = [tournament_select(pop, rng) for _ in range(400)]
+    rank, crowding = np.array([0, 0]), np.array([5.0, 1.0])
+    wins = [tournament_select(rank, crowding, rng) for _ in range(400)]
     assert wins.count(0) > wins.count(1)
 
 
 def test_tournament_tie_breaks_by_fair_coin():
     rng = np.random.default_rng(42)
-    pop = make_population([(1, 1), (1, 1)])
-    for ind in pop:
-        ind.rank, ind.crowding = 0, 1.0
-    wins = np.array([tournament_select(pop, rng) for _ in range(4000)])
+    rank, crowding = np.array([0, 0]), np.array([1.0, 1.0])
+    wins = np.array([tournament_select(rank, crowding, rng) for _ in range(4000)])
     share = np.mean(wins == 0)
     assert 0.42 <= share <= 0.58
 
@@ -232,15 +223,23 @@ def two_bowl_problem():
     return Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
 
 
+def final_objectives(problem, params):
+    """Run the engine; return its front and the last population's objectives."""
+    seen = []
+    front = run(problem, params, on_generation=lambda gen, F: seen.append(F.copy()))
+    return front, seen[-1]
+
+
 def test_run_returns_consistent_front():
     problem = two_bowl_problem()
-    front = run(problem, params_for(1, generations=30))
+    front, F = final_objectives(problem, params_for(1, generations=30))
     assert front
-    for ind in front:
-        assert ind.rank == 0
-        assert -5.0 <= ind.x[0] <= 5.0
-        assert ind.f == pytest.approx(problem.evaluate(ind.x))
-    objs = [ind.f for ind in front]
+    rank0 = [tuple(F[i]) for i in nondominated_fronts(F)[0]]
+    for x, f in front:
+        assert f in rank0
+        assert -5.0 <= x[0] <= 5.0
+        assert f == pytest.approx(problem.evaluate(x))
+    objs = [f for _, f in front]
     for a in objs:
         assert not any(dominates(b, a) for b in objs)
 
@@ -249,32 +248,52 @@ def test_run_is_deterministic():
     problem = two_bowl_problem()
     a = run(problem, params_for(1, generations=25, seed=11))
     b = run(problem, params_for(1, generations=25, seed=11))
-    assert [(tuple(i.x), i.f) for i in a] == [(tuple(i.x), i.f) for i in b]
+    assert [(tuple(x), f) for x, f in a] == [(tuple(x), f) for x, f in b]
     c = run(problem, params_for(1, generations=25, seed=12))
-    assert [(tuple(i.x), i.f) for i in a] != [(tuple(i.x), i.f) for i in c]
+    assert [(tuple(x), f) for x, f in a] != [(tuple(x), f) for x, f in c]
+
+
+# Front 0 of a seeded 3-variable ZDT1 run (pop 12, 10 generations, seed
+# 2024), recorded with repr precision. Any change to the order or number of
+# random draws moves these values; a rewrite that changes the PCG64 stream on
+# purpose must update them and say so.
+PINNED_ZDT1_FRONT = [
+    ([0.0, 0.15141415300799896, 0.0], (0.0, 1.6813636885359953)),
+    ([0.6394962403120211, 0.07640774083903314, 0.0], (0.6394962403120211, 0.4168087695251031)),
+    ([0.12316515957370666, 0.1221303605989808, 0.0], (0.12316515957370666, 1.1127169812031694)),
+    ([0.448373971267682, 0.1470742666399912, 0.0], (0.448373971267682, 0.7986290100272646)),
+    ([0.5628918760769123, 0.16062771924150865, 0.0], (0.5628918760769123, 0.7380587501062192)),
+    ([0.11313167859712418, 0.17014306549219316, 0.0], (0.11313167859712418, 1.3187095195684118)),
+    ([0.5917384930800256, 0.08149587553281656, 0.0], (0.5917384930800256, 0.4674274853360683)),
+    ([0.48072218589036536, 0.14990275665061517, 3.2919446293978425e-05], (0.48072218589036536, 0.777453325862428)),
+    ([0.030733024764307955, 0.1522613628643719, 3.309906426402098e-05], (0.030733024764307955, 1.4577396279599135)),
+    ([0.014557067517262323, 0.1520578142103387, 1.7961797004255648e-07], (0.014557067517262323, 1.5276790425886089)),
+    ([0.030733024764307955, 0.1522613628643719, 3.309906426402098e-05], (0.030733024764307955, 1.4577396279599135)),
+    ([0.010634696499875963, 0.17014306549219316, 0.0], (0.010634696499875963, 1.62861428736816)),
+]
+
+
+def test_run_reproduces_pinned_front():
+    def zdt1(x):
+        g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
+        return float(x[0]), g * (1.0 - (float(x[0]) / g) ** 0.5)
+
+    problem = Problem(n_vars=3, lower=np.zeros(3), upper=np.ones(3), evaluate=zdt1)
+    front = run(problem, NsgaParams(pop_size=12, generations=10, seed=2024))
+    assert [(x.tolist(), f) for x, f in front] == PINNED_ZDT1_FRONT
 
 
 def test_run_zero_generations_returns_initial_front():
-    front = run(two_bowl_problem(), params_for(1, generations=0))
+    front, F = final_objectives(two_bowl_problem(), params_for(1, generations=0))
     assert front
-    assert all(ind.rank == 0 for ind in front)
+    rank0 = [tuple(F[i]) for i in nondominated_fronts(F)[0]]
+    assert all(f in rank0 for _, f in front)
 
 
 def test_observer_fires_once_per_generation():
     gens = []
-    run(two_bowl_problem(), params_for(1, generations=7), on_generation=lambda g, pop: gens.append(g))
+    run(two_bowl_problem(), params_for(1, generations=7), on_generation=lambda g, F: gens.append(g))
     assert gens == list(range(8))
-
-
-def test_trace_file_schema(tmp_path):
-    path = tmp_path / "trace.csv"
-    run(two_bowl_problem(), params_for(1, generations=5), trace_path=str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "generation,front0_size,best_f1,best_f2"
-    assert len(lines) == 7
-    first = lines[1].split(",")
-    assert int(first[0]) == 0 and int(first[1]) >= 1
-    float(first[2]), float(first[3])  # parseable objective values
 
 
 def test_scalar_bests_never_worsen():
@@ -282,10 +301,9 @@ def test_scalar_bests_never_worsen():
     value seen in each objective is monotone under elitist selection."""
     best1, best2 = [], []
 
-    def watch(gen, pop):
-        objs = np.array([ind.f for ind in pop])
-        best1.append(objs[:, 0].min())
-        best2.append(objs[:, 1].min())
+    def watch(gen, F):
+        best1.append(F[:, 0].min())
+        best2.append(F[:, 1].min())
 
     def zdt1(x):
         g = 1.0 + 9.0 * np.sum(x[1:]) / (len(x) - 1)
@@ -304,8 +322,8 @@ def test_front_zero_regression_only_after_saturation():
     drop interior points, each a peer of the survivors."""
     snapshots = []
 
-    def watch(gen, pop):
-        snapshots.append(np.array([ind.f for ind in front0(pop)]))
+    def watch(gen, F):
+        snapshots.append(F[nondominated_fronts(F)[0]])
 
     params = params_for(1, pop_size=16, generations=25, seed=5)
     run(two_bowl_problem(), params, on_generation=watch)

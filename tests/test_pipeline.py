@@ -33,8 +33,7 @@ from chaospi.pipeline import (
     grid_search_r,
     pi_bounds,
     run_experiment,
-    run_three_stage,
-    run_two_stage,
+    run_model,
     select_interval_params,
     select_point_model,
 )
@@ -326,8 +325,12 @@ class TestSeededRuns:
         labels = [f"2015-{i:03d}" for i in range(len(values))]
         self.series = TimeSeries(values=values, labels=labels)
 
+    @staticmethod
+    def run(series, **kw):
+        return run_model(series, small_config(**kw))[0]
+
     def test_two_stage_run_is_internally_consistent(self):
-        result = run_two_stage(self.series, small_config())
+        result = self.run(self.series)
         assert result.model_kind == "two_stage"
         assert result.front_objectives == ("smape", "neg_ds")
         assert len(result.test.point) == 6
@@ -353,25 +356,25 @@ class TestSeededRuns:
         assert np.all(result.test.point <= result.test.upper)
 
     def test_three_stage_variant_override(self):
-        result = run_three_stage(self.series, small_config(), variant="single")
+        result = self.run(self.series, model="three_stage_single")
         assert result.model_kind == "three_stage_single"
         assert result.interval.r1 == result.interval.r2
         assert result.front_objectives == ("neg_picp", "piaw")
 
-        dual = run_three_stage(self.series, small_config(model="three_stage_dual"))
+        dual = self.run(self.series, model="three_stage_dual")
         assert dual.model_kind == "three_stage_dual"
         with pytest.raises(ConfigError):
-            run_three_stage(self.series, small_config(), variant="both")
+            small_config(model="three_stage_both")
 
     def test_stage2_model_is_shared_across_model_kinds(self):
-        a = run_two_stage(self.series, small_config(seed=5))
-        b = run_three_stage(self.series, small_config(seed=5), variant="single")
+        a = self.run(self.series, seed=5)
+        b = self.run(self.series, seed=5, model="three_stage_single")
         assert np.array_equal(a.point_model.coeffs, b.point_model.coeffs)
         assert np.array_equal(a.test.point, b.test.point)
 
     def test_standardize_maps_back_to_original_units(self):
         shifted = TimeSeries(values=self.series.values * 3.0 + 100.0)
-        result = run_two_stage(shifted, small_config(standardize=True))
+        result = self.run(shifted, standardize=True)
         assert np.all(np.isfinite(result.test.point))
         # predictions must live near the raw data, not near the z-scores
         assert abs(float(np.mean(result.test.point)) - float(np.mean(shifted.values))) < 5.0
@@ -383,14 +386,14 @@ class TestSeededRuns:
         flat = TimeSeries(values=np.ones(40))
         with pytest.warns(UserWarning):
             with pytest.raises(ZeroVarianceError):
-                run_two_stage(flat, small_config(test_horizon=4, standardize=True))
+                self.run(flat, test_horizon=4, standardize=True)
 
     def test_horizon_must_leave_training_data(self):
         with pytest.raises(InvalidSplitError):
-            run_two_stage(self.series, small_config(test_horizon=120))
+            self.run(self.series, test_horizon=120)
         short = TimeSeries(values=ar2_values(n=30, seed=1))
         with pytest.raises(SeriesTooShortError):
-            run_two_stage(short, small_config(test_horizon=25))
+            self.run(short, test_horizon=25)
 
 
 class TestExperiment:

@@ -3,13 +3,12 @@ import pytest
 
 from chaospi.errors import (
     EmptySeriesError,
-    InvalidSplitError,
     MissingFileError,
     NonFiniteValueError,
     ParseError,
     SeriesTooShortError,
 )
-from chaospi.series import TimeSeries, load_series, split_last_k, summarize, write_series
+from chaospi.series import TimeSeries, load_series, summarize, write_series
 
 
 def test_load_single_column_without_header(tmp_path):
@@ -157,19 +156,3 @@ def test_summarize_population_std():
     assert stats.std_dev == pytest.approx(np.sqrt(1.25), abs=1e-15)
     assert stats.minimum == 1.0
     assert stats.maximum == 4.0
-
-
-def test_split_last_k():
-    s = TimeSeries(values=np.arange(5.0), labels=list("abcde"))
-    sp = split_last_k(s, 2)
-    assert np.array_equal(sp.train.values, [0.0, 1.0, 2.0])
-    assert np.array_equal(sp.test.values, [3.0, 4.0])
-    assert sp.train.labels == ["a", "b", "c"]
-    assert sp.test.labels == ["d", "e"]
-    assert sp.split_index == 2
-
-    # the smallest legal holdout is one observation
-    assert len(split_last_k(s, 1).test) == 1
-    for bad in (0, 5, 6):
-        with pytest.raises(InvalidSplitError):
-            split_last_k(s, bad)
