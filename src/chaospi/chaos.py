@@ -11,8 +11,10 @@ The module covers the usual pre-modeling chain for nonlinear time series:
   neighbor pairs and fit a line over the initial growth region,
 * lagged input/target matrices for one-step-ahead autoregression.
 
-Distance computations build dense pairwise matrices, which is exact and fast
-for series up to a few thousand points but quadratic in memory beyond that.
+Nearest-neighbor searches run over blocks of rows: each block holds its
+rows' distances to every candidate neighbor, about ``_BLOCK_ELEMS`` floats,
+so memory is O(n * block) rather than O(n^2) while every distance is still
+computed exactly, by the same float operations a dense matrix would use.
 """
 
 from __future__ import annotations
@@ -31,6 +33,17 @@ from .errors import (
     ZeroVarianceError,
 )
 from .series import TimeSeries
+
+# Elements per row block of a neighbor search (2**19 float64 is 4 MB per
+# temporary); a block holds max(1, _BLOCK_ELEMS // n_cols) rows.
+_BLOCK_ELEMS = 2**19
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """``(start, stop)`` bounds of the row blocks covering ``n_rows`` rows."""
+    step = max(1, _BLOCK_ELEMS // n_cols)
+    for a in range(0, n_rows, step):
+        yield a, min(a + step, n_rows)
 
 
 @dataclass(frozen=True)
@@ -232,16 +245,18 @@ def lyapunov_rosenstein(
         )
 
     vecs = _delay_matrix(x, tau, m)
-    dist2 = np.zeros((n_vec, n_vec))
-    for col in range(m):
-        diff = vecs[:, col][:, None] - vecs[:, col][None, :]
-        dist2 += diff * diff
-
-    offsets = np.abs(np.arange(n_vec)[:, None] - np.arange(n_vec)[None, :])
-    dist2[offsets <= window] = np.inf
-    dist2[dist2 == 0.0] = np.inf
-    nn = np.argmin(dist2, axis=1)
-    valid = np.isfinite(dist2[np.arange(n_vec), nn])
+    nn = np.empty(n_vec, dtype=np.intp)
+    valid = np.empty(n_vec, dtype=bool)
+    for a, b in _row_blocks(n_vec, n_vec):
+        dist2 = np.zeros((b - a, n_vec))
+        for col in range(m):
+            diff = vecs[a:b, col][:, None] - vecs[:, col][None, :]
+            dist2 += diff * diff
+        for i in range(a, b):  # Theiler band |i - j| <= window
+            dist2[i - a, max(0, i - window) : i + window + 1] = np.inf
+        dist2[dist2 == 0.0] = np.inf
+        nn[a:b] = np.argmin(dist2, axis=1)
+        valid[a:b] = np.isfinite(dist2[np.arange(b - a), nn[a:b]])
     if not np.any(valid):
         raise NoValidPairsError(
             "no neighbor pairs outside the Theiler window at nonzero distance"
@@ -314,31 +329,46 @@ def cao_min_dimension(
             f"for max_dim {max_dim} at tau {tau}, got {n}"
         )
 
-    e_growth = np.empty(max_dim + 2)  # E(d), valid for d = 1..max_dim+1
-    e_newcoord = np.empty(max_dim + 2)  # E*(d)
-    # Chebyshev distances start at dimension 1 and gain one coordinate per
-    # step: D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|).
-    dist = np.abs(x[:, None] - x[None, :])
-    for d in range(1, max_dim + 2):
-        r = n - d * tau  # vectors that still exist in dimension d+1
-        sub = dist[:r, :r]
-        masked = np.where(sub > 0.0, sub, np.inf)
-        nn = np.argmin(masked, axis=1)
-        den = masked[np.arange(r), nn]
-        if not np.all(np.isfinite(den)):
-            raise DegenerateNeighborsError(
-                f"a dimension-{d} vector has only zero-distance neighbors"
-            )
-        new_gap = np.abs(x[np.arange(r) + d * tau] - x[nn + d * tau])
-        e_growth[d] = float(np.mean(np.maximum(den, new_gap) / den))
-        e_newcoord[d] = float(np.mean(new_gap))
-        if d <= max_dim:
-            tail = np.abs(x[d * tau : d * tau + r][:, None] - x[d * tau : d * tau + r][None, :])
-            np.maximum(dist[:r, :r], tail, out=dist[:r, :r])
+    # Per-row growth ratios and new-coordinate gaps; position d-1 holds
+    # dimension d = 1..max_dim+1, whose rows i < n - d*tau still exist in
+    # dimension d+1. Averaging each whole array at the end keeps the
+    # summation order of a dense computation.
+    dims = range(1, max_dim + 2)
+    ratios = [np.empty(n - d * tau) for d in dims]
+    gaps = [np.empty(n - d * tau) for d in dims]
+    d_stop = max_dim + 2  # smallest d with a degenerate vector, if any
+    for a, b in _row_blocks(n - tau, n):
+        # Chebyshev distances of rows a..b-1 start at dimension 1 and gain one
+        # coordinate per step: D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|).
+        dist = np.abs(x[a:b, None] - x[None, :])
+        for d in range(1, d_stop):
+            r = n - d * tau  # vectors that still exist in dimension d+1
+            hi = min(b, r)
+            if hi <= a:
+                break
+            sub = dist[: hi - a, :r]
+            masked = np.where(sub > 0.0, sub, np.inf)
+            nn = np.argmin(masked, axis=1)
+            den = masked[np.arange(hi - a), nn]
+            if not np.all(np.isfinite(den)):
+                d_stop = d
+                break
+            shifted = x[d * tau : d * tau + r]
+            new_gap = np.abs(shifted[a:hi] - shifted[nn])
+            ratios[d - 1][a:hi] = np.maximum(den, new_gap) / den
+            gaps[d - 1][a:hi] = new_gap
+            if d <= max_dim:
+                np.maximum(sub, np.abs(shifted[a:hi, None] - shifted[None, :]), out=sub)
+    if d_stop <= max_dim + 1:
+        raise DegenerateNeighborsError(
+            f"a dimension-{d_stop} vector has only zero-distance neighbors"
+        )
+    e_growth = np.array([np.mean(v) for v in ratios])  # E(d)
+    e_newcoord = np.array([np.mean(v) for v in gaps])  # E*(d)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = e_growth[2 : max_dim + 2] / e_growth[1 : max_dim + 1]
-        e2 = e_newcoord[2 : max_dim + 2] / e_newcoord[1 : max_dim + 1]
+        e1 = e_growth[1:] / e_growth[:-1]
+        e2 = e_newcoord[1:] / e_newcoord[:-1]
 
     close = np.abs(e1 - 1.0) < threshold
     m = max_dim

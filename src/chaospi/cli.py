@@ -206,10 +206,11 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
     cfg = _load_config_file(getattr(args, "config", None))
 
     def pick(flag: str | None, key: str, kind: type, default=None, nullable=False):
+        # a config entry is checked even when a flag overrides it
+        if key in cfg:
+            default = _typed(cfg[key], kind, key, nullable)
         v = getattr(args, flag, None) if flag else None
-        if v is None:
-            v = cfg.get(key, default)
-        return _typed(v, kind, key, nullable)
+        return _typed(default if v is None else v, kind, key, nullable)
 
     meta = {
         "input": pick("input", "input", str, nullable=True),
@@ -241,14 +242,15 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
         stage3=_nsga_params(cfg.get("stage3"), "stage3", base.stage3),
     )
 
+    # the seed entries are checked even when --seeds or "seeds" overrides them
+    seed_base = pick(None, "seed_base", int, 0)
+    seed_count = pick(None, "seed_count", int, 20)
+    if "seeds" in cfg:
+        seeds = [_typed(s, int, "seeds entry") for s in pick(None, "seeds", list)]
     seeds_flag = getattr(args, "seeds", None)
     if seeds_flag is not None:
         seeds = _parse_seeds(seeds_flag)
-    elif "seeds" in cfg:
-        seeds = [_typed(s, int, "seeds entry") for s in pick(None, "seeds", list)]
-    else:
-        seed_base = pick(None, "seed_base", int, 0)
-        seed_count = pick(None, "seed_count", int, 20)
+    elif "seeds" not in cfg:
         if seed_count < 1:
             raise ConfigError("seed_count must be >= 1")
         seeds = list(range(seed_base, seed_base + seed_count))

@@ -17,7 +17,9 @@ orientation.
 Determinism: all stochastic choices come from one ``numpy`` Generator seeded
 with PCG64 (a named, documented 64-bit PRNG) and are consumed sequentially on
 the control thread, so identical (problem, params, seed) triples reproduce
-runs bit for bit. Objective evaluations happen in population index order.
+runs bit for bit. Objective evaluations happen in population index order;
+a child equal to the parent it was copied from is not evaluated again but
+takes that parent's objectives, so ``evaluate`` must be a pure function.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ _SBX_EPS = 1e-14
 class Problem:
     """A bi-objective minimization problem over a box.
 
-    ``evaluate`` maps a decision vector to its two objective values; any
-    exception it raises aborts the run and propagates unchanged.
+    ``evaluate`` maps a decision vector to its two objective values and
+    must not depend on anything else (the engine reuses the values of an
+    unchanged vector); any exception it raises aborts the run and
+    propagates unchanged.
     """
 
     n_vars: int
@@ -313,17 +317,25 @@ def run(
         on_generation(0, F)
 
     for gen in range(1, params.generations + 1):
-        children = []
+        children, parents = [], []
         for _ in range(params.pop_size // 2):
             i = tournament_select(rank, crowding, rng)
             j = tournament_select(rank, crowding, rng)
-            for child in sbx_crossover(X[i], X[j], lower, upper, params, rng):
+            for child, p in zip(sbx_crossover(X[i], X[j], lower, upper, params, rng), (i, j)):
                 if rng.random() < params.mutation_prob:
                     child = polynomial_mutation(child, lower, upper, params, rng)
                 children.append(child)
+                parents.append(p)
         offspring = np.array(children)
+        # a child that neither crossover nor mutation changed keeps its
+        # parent's objectives; only the others are evaluated
+        parents = np.array(parents)
+        copied = np.all(offspring == X[parents], axis=1)
+        F_off = np.empty((offspring.shape[0], 2))
+        F_off[copied] = F[parents[copied]]
+        F_off[~copied] = _evaluate(problem, offspring[~copied])
         X = np.concatenate([X, offspring])
-        F = np.concatenate([F, _evaluate(problem, offspring)])
+        F = np.concatenate([F, F_off])
         keep, rank, crowding = _select_next(F, params.pop_size)
         X, F = X[keep], F[keep]
         if on_generation is not None:

@@ -87,3 +87,84 @@ def elitism_violations(snapshots, pop_size):
             if not (p[0] > lo1 and p[1] > lo2):
                 out.append((t, "interior"))
     return out
+
+
+def dense_cao(x, tau, max_dim):
+    """Cao's E1/E2 curves from full n x n Chebyshev distance matrices.
+
+    The straightforward O(n^2)-memory form of ``chaos.cao_min_dimension``
+    (without its argument checks or the choice of m), kept as an oracle for
+    the row-blocked search: returns ``(e1, e2)``, or the smallest dimension
+    with a vector whose neighbors all sit at zero distance.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    e_growth = np.empty(max_dim + 2)
+    e_newcoord = np.empty(max_dim + 2)
+    dist = np.abs(x[:, None] - x[None, :])
+    for d in range(1, max_dim + 2):
+        r = n - d * tau
+        sub = dist[:r, :r]
+        masked = np.where(sub > 0.0, sub, np.inf)
+        nn = np.argmin(masked, axis=1)
+        den = masked[np.arange(r), nn]
+        if not np.all(np.isfinite(den)):
+            return d
+        new_gap = np.abs(x[np.arange(r) + d * tau] - x[nn + d * tau])
+        e_growth[d] = float(np.mean(np.maximum(den, new_gap) / den))
+        e_newcoord[d] = float(np.mean(new_gap))
+        if d <= max_dim:
+            tail = np.abs(x[d * tau : d * tau + r][:, None] - x[d * tau : d * tau + r][None, :])
+            np.maximum(dist[:r, :r], tail, out=dist[:r, :r])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = e_growth[2 : max_dim + 2] / e_growth[1 : max_dim + 1]
+        e2 = e_newcoord[2 : max_dim + 2] / e_newcoord[1 : max_dim + 1]
+    return e1, e2
+
+
+def dense_rosenstein(x, tau, m, window, k_max, fit_stop):
+    """Rosenstein divergence curve from a full n x n squared-distance matrix.
+
+    The O(n^2)-memory form of ``chaos.lyapunov_rosenstein`` (no argument
+    checks, fit from k = 0), kept as an oracle for the row-blocked search:
+    returns ``(slope, divergence, n_pairs)``.
+    """
+    x = np.asarray(x, dtype=float)
+    n_vec = x.size - (m - 1) * tau
+    vecs = x[np.arange(n_vec)[:, None] + tau * np.arange(m)[None, :]]
+    dist2 = np.zeros((n_vec, n_vec))
+    for col in range(m):
+        diff = vecs[:, col][:, None] - vecs[:, col][None, :]
+        dist2 += diff * diff
+    offsets = np.abs(np.arange(n_vec)[:, None] - np.arange(n_vec)[None, :])
+    dist2[offsets <= window] = np.inf
+    dist2[dist2 == 0.0] = np.inf
+    nn = np.argmin(dist2, axis=1)
+    valid = np.isfinite(dist2[np.arange(n_vec), nn])
+    base = np.flatnonzero(valid)
+    mates = nn[base]
+    divergence = np.full(k_max + 1, np.nan)
+    for k in range(k_max + 1):
+        alive = (base + k < n_vec) & (mates + k < n_vec)
+        if not np.any(alive):
+            break
+        diff = vecs[base[alive] + k] - vecs[mates[alive] + k]
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+        d = d[d > 0.0]
+        if d.size:
+            divergence[k] = float(np.mean(np.log(d)))
+    ks = np.arange(fit_stop + 1)
+    ys = divergence[: fit_stop + 1]
+    keep = np.isfinite(ys)
+    slope = float(np.polyfit(ks[keep], ys[keep], 1)[0])
+    return slope, divergence, int(base.size)
+
+
+def henon_x(n, a=1.4, b=0.3, burn_in=100):
+    """x coordinate of the Henon map from (0.1, 0); exponent about 0.42."""
+    x, y = 0.1, 0.0
+    out = np.empty(n + burn_in)
+    for i in range(n + burn_in):
+        x, y = 1.0 - a * x * x + y, b * x
+        out[i] = x
+    return out[burn_in:]

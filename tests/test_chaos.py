@@ -1,8 +1,11 @@
 """Delay selection, embedding, divergence tracking, and the Cao curves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chaospi import chaos
 from chaospi.chaos import (
     AnalyzeOptions,
     EmbeddingParams,
@@ -22,7 +25,7 @@ from chaospi.errors import (
     ZeroVarianceError,
 )
 from chaospi.series import TimeSeries
-from helpers import logistic_map, sine_wave
+from helpers import dense_cao, dense_rosenstein, henon_x, logistic_map, sine_wave
 
 
 def brute_acf(x, max_lag):
@@ -210,3 +213,81 @@ class TestAnalyze:
             analyze(s, AnalyzeOptions(tau=0))
         with pytest.raises(ConfigError):
             analyze(s, AnalyzeOptions(tau=1, m=0))
+
+
+class TestBlockedNeighborSearch:
+    """The row-blocked searches equal the dense n x n computation bit for bit,
+    whatever the block size, and stay small in memory."""
+
+    N = 200  # a multiple of none of the block heights below
+
+    @staticmethod
+    def set_block_rows(monkeypatch, rows, n_cols):
+        monkeypatch.setattr(chaos, "_BLOCK_ELEMS", rows * n_cols)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_cao_matches_dense(self, monkeypatch, rows, tau, quantized):
+        # rounding makes zero distances and tied neighbors common
+        x = henon_x(self.N)
+        if quantized:
+            x = np.round(x, 1)
+        m_full, e1_full, e2_full = cao_min_dimension(x, tau, max_dim=8)
+        self.set_block_rows(monkeypatch, rows, self.N)
+        m, e1, e2 = cao_min_dimension(x, tau, max_dim=8)
+        e1_dense, e2_dense = dense_cao(x, tau, max_dim=8)
+        assert np.array_equal(e1, e1_dense) and np.array_equal(e2, e2_dense)
+        assert np.array_equal(e1_full, e1_dense) and np.array_equal(e2_full, e2_dense)
+        assert m == m_full
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("window", [None, 0, 10])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_rosenstein_matches_dense(self, monkeypatch, rows, tau, window, quantized):
+        x = henon_x(self.N)
+        if quantized:
+            x = np.round(x, 1)
+        m = 3
+        n_vec = self.N - (m - 1) * tau
+        self.set_block_rows(monkeypatch, rows, n_vec)
+        est = lyapunov_rosenstein(x, EmbeddingParams(tau=tau, m=m), RosensteinOptions(theiler_window=window))
+        k_max = min(50, n_vec // 10)
+        slope, divergence, n_pairs = dense_rosenstein(
+            x, tau, m, tau * m if window is None else window, k_max, min(20, k_max)
+        )
+        assert np.array_equal(est.divergence, divergence, equal_nan=True)
+        assert est.n_pairs == n_pairs
+        assert est.exponent == slope
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "x, tau, max_dim",
+        [
+            (np.ones(100), 1, 2),
+            # distinct values in dimension 1; the two dimension-2 vectors
+            # (x[0], x[3]) and (x[1], x[4]) coincide
+            (np.array([0.0, 0.0, 1.0, 5.0, 5.0, 2.0, 3.0, 4.0]), 3, 1),
+        ],
+    )
+    def test_degenerate_error_names_smallest_dimension(self, monkeypatch, rows, x, tau, max_dim):
+        d = dense_cao(x, tau, max_dim)
+        self.set_block_rows(monkeypatch, rows, x.size)
+        with pytest.raises(DegenerateNeighborsError, match=f"dimension-{d} vector"):
+            cao_min_dimension(x, tau, max_dim)
+
+    def test_peak_memory_stays_blocked(self):
+        # the dense n x n versions peak at about 343 MB and 275 MB here
+        x = henon_x(3000)
+        for call in (
+            lambda: cao_min_dimension(x, tau=1, max_dim=12),
+            lambda: lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2)),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20

@@ -214,6 +214,25 @@ def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
     assert "error:" in capsys.readouterr().err
 
 
+# a flag or another key that overrides a mistyped entry does not excuse it
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"tau": "1"}, ["--tau", "1"]),
+        ({"seeds": 3}, ["--seeds", "1,2"]),
+        ({"seed_count": "x"}, ["--seeds", "1,2"]),
+        ({"seeds": [1], "seed_base": "y"}, []),
+    ],
+)
+def test_shadowed_mistyped_config_value_exits_one(tmp_path, series_csv, capsys, config, flags):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = cli.main(["analyze", "--input", str(series_csv), "--m", "2", *flags,
+                   "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_domain_errors_exit_one(tmp_path, series_csv, capsys):
     assert cli.main(["analyze", "--input", str(tmp_path / "missing.csv")]) == 1
     assert "error:" in capsys.readouterr().err

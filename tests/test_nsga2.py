@@ -290,6 +290,23 @@ def test_run_zero_generations_returns_initial_front():
     assert all(f in rank0 for _, f in front)
 
 
+def test_unchanged_children_are_not_reevaluated():
+    # with neither crossover nor mutation every child copies its parent, so
+    # only the initial population is evaluated and copies keep their values
+    calls = []
+    inner = two_bowl_problem().evaluate
+
+    def evaluate(x):
+        calls.append(x.copy())
+        return inner(x)
+
+    problem = Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
+    params = params_for(1, generations=5, crossover_prob=0.0, mutation_prob=0.0)
+    front, F = final_objectives(problem, params)
+    assert len(calls) == params.pop_size
+    assert all(f == inner(x) for x, f in front)
+
+
 def test_observer_fires_once_per_generation():
     gens = []
     run(two_bowl_problem(), params_for(1, generations=7), on_generation=lambda g, F: gens.append(g))
