@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -106,20 +107,33 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file in the target's directory, then
+    rename it over the target, so a failed write never leaves a partial file."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_file(path, text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+        )
+    _write_file(path, buf.getvalue())
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -321,24 +335,11 @@ def _run_payload(result: RunResult) -> dict:
 
 
 def _write_intervals_csv(out: str, result: RunResult) -> None:
-    rows = []
-    labels = result.test.labels
-    for i in range(result.test.point.shape[0]):
-        rows.append(
-            [
-                int(result.test.indices[i]),
-                labels[i] if labels else "",
-                float(result.test.actual[i]),
-                float(result.test.point[i]),
-                float(result.test.lower[i]),
-                float(result.test.upper[i]),
-            ]
-        )
-    _write_csv(
-        os.path.join(out, "intervals.csv"),
-        ["index", "date", "actual", "point", "lower", "upper"],
-        rows,
-    )
+    t = result.test
+    labels = t.labels or [""] * t.point.shape[0]
+    rows = [list(r) for r in zip(t.indices.tolist(), labels, t.actual, t.point, t.lower, t.upper)]
+    header = ["index", "date", "actual", "point", "lower", "upper"]
+    _write_csv(os.path.join(out, "intervals.csv"), header, rows)
 
 
 def _write_fronts(out: str, report: ExperimentReport) -> None:

@@ -13,6 +13,11 @@ Interval metrics:
 
 * ``picp`` -- fraction of actuals inside their interval, bounds inclusive.
 * ``piaw`` -- mean interval width.
+
+Every metric reduces along the last axis. One-dimensional inputs give a
+float. A later argument may be a ``(k, n)`` array of candidates, paired
+with an earlier one of length ``n`` or of the same shape; the metric then
+gives ``k`` values, each equal to the one-dimensional call on its row.
 """
 
 from __future__ import annotations
@@ -25,16 +30,21 @@ from .errors import EmptyInputError, LengthMismatchError, SeriesTooShortError
 def _paired(actual, predicted, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.ndim != 1:
-        raise LengthMismatchError(f"paired 1-d sequences required, got {a.shape} vs {p.shape}")
-    if a.size == 0:
+    if p.ndim not in (1, 2) or a.shape not in (p.shape, p.shape[-1:]):
+        raise LengthMismatchError(f"paired sequences or rows required, got {a.shape} vs {p.shape}")
+    if a.shape[-1] == 0:
         raise EmptyInputError("metric inputs are empty")
-    if a.size < min_len:
-        raise SeriesTooShortError(f"need at least {min_len} observations, got {a.size}")
+    if a.shape[-1] < min_len:
+        raise SeriesTooShortError(f"need at least {min_len} observations, got {a.shape[-1]}")
     return a, p
 
 
-def smape(actual, predicted) -> float:
+def _reduced(values: np.ndarray) -> float | np.ndarray:
+    """A float for one-dimensional inputs, else one value per row."""
+    return float(values) if values.ndim == 0 else values
+
+
+def smape(actual, predicted) -> float | np.ndarray:
     """Symmetric MAPE in percent.
 
     .. math:: \\frac{100}{n} \\sum_t \\frac{|y_t - \\hat y_t|}{(|y_t| + |\\hat y_t|)/2}
@@ -43,10 +53,10 @@ def smape(actual, predicted) -> float:
     denom = (np.abs(a) + np.abs(p)) / 2.0
     num = np.abs(a - p)
     terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-    return float(100.0 / a.size * np.sum(terms))
+    return _reduced(100.0 / a.shape[-1] * np.sum(terms, axis=-1))
 
 
-def directional_symmetry(actual, predicted) -> float:
+def directional_symmetry(actual, predicted) -> float | np.ndarray:
     """Percentage of moves whose actual and predicted directions agree.
 
     A step counts as a hit only when the product of consecutive differences
@@ -54,17 +64,17 @@ def directional_symmetry(actual, predicted) -> float:
     """
     a, p = _paired(actual, predicted, min_len=2)
     hits = (np.diff(a) * np.diff(p)) > 0
-    return float(100.0 * np.mean(hits))
+    return _reduced(100.0 * np.mean(hits, axis=-1))
 
 
-def picp(actual, lower, upper) -> float:
+def picp(actual, lower, upper) -> float | np.ndarray:
     """Prediction interval coverage probability, bounds inclusive, in [0, 1]."""
-    a, lo = _paired(actual, lower)
-    _, hi = _paired(actual, upper)
-    return float(np.mean((a >= lo) & (a <= hi)))
+    lo, hi = _paired(lower, upper)
+    a, _ = _paired(actual, lo)
+    return _reduced(np.mean((a >= lo) & (a <= hi), axis=-1))
 
 
-def piaw(lower, upper) -> float:
+def piaw(lower, upper) -> float | np.ndarray:
     """Prediction interval average width."""
     lo, hi = _paired(lower, upper)
-    return float(np.mean(hi - lo))
+    return _reduced(np.mean(hi - lo, axis=-1))

@@ -7,29 +7,37 @@ selection under the crowded comparison operator, simulated binary crossover
 
 The population is held as arrays: decision vectors ``X`` of shape
 ``(pop, n_vars)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
-crowding distance as per-row arrays alongside. Survivor selection returns
-row indices into the merged parents + offspring arrays.
+crowding distance as per-row arrays alongside. A generation is a handful of
+array operations: all tournaments in one draw, SBX over all pairs, mutation
+over all children, one batched evaluation, and survivor selection by row
+indices into the merged parents + offspring arrays.
 
 Both objectives are minimized. Callers wanting to maximize an objective
 negate it and un-negate on the way out; the engine never special-cases
 orientation.
 
+Evaluation: ``Problem.evaluate`` gets the initial population, then at most
+one batch per generation: the children that crossover or mutation changed,
+in population order. A child equal to its parent takes the parent's
+objectives, so ``evaluate`` must be a pure function.
+
 Determinism: all stochastic choices come from one ``numpy`` Generator seeded
-with PCG64 (a named, documented 64-bit PRNG) and are consumed sequentially on
-the control thread, so identical (problem, params, seed) triples reproduce
-runs bit for bit. Objective evaluations happen in population index order;
-a child equal to the parent it was copied from is not evaluated again but
-takes that parent's objectives, so ``evaluate`` must be a pure function.
+with PCG64 (a named, documented 64-bit PRNG), drawn as whole arrays in a
+fixed order each generation (tournaments, then SBX, then mutation), so
+identical (problem, params, seed) triples reproduce runs bit for bit.
+Reproducibility is per seed and per draw order: drawing another array, or
+the same arrays in another order, changes the results of every seed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 
 # SBX treats parent coordinates closer than this as identical, which keeps
 # crossover an exact fixed point for duplicate parents.
@@ -40,16 +48,17 @@ _SBX_EPS = 1e-14
 class Problem:
     """A bi-objective minimization problem over a box.
 
-    ``evaluate`` maps a decision vector to its two objective values and
-    must not depend on anything else (the engine reuses the values of an
-    unchanged vector); any exception it raises aborts the run and
-    propagates unchanged.
+    ``evaluate`` maps a ``(k, n_vars)`` batch of decision vectors to a
+    ``(k, 2)`` array of their objective values (any other shape raises
+    ``DimensionMismatchError``). Each row's values must depend on that row
+    alone (the engine reuses the values of an unchanged vector); any
+    exception it raises aborts the run and propagates unchanged.
     """
 
     n_vars: int
     lower: np.ndarray
     upper: np.ndarray
-    evaluate: Callable[[np.ndarray], tuple[float, float]]
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -112,25 +121,27 @@ def nondominated_fronts(objs: np.ndarray) -> list[np.ndarray]:
     """Peel Pareto fronts from an (n, 2) objective array.
 
     Returns row index arrays, best front first, each in ascending row
-    order; every row appears exactly once. Builds the full domination
-    matrix with broadcasting, then repeatedly extracts the set with no
-    remaining dominators.
+    order; every row appears exactly once and equal points share a front.
+    Sweeps the rows in (f1, f2) order (Jensen 2003): each front's smallest
+    f2 so far is its last member's and these stay sorted across fronts, so
+    a binary search finds the first front that does not dominate a row; a
+    copy of the previous row joins its front. O(n log n).
     """
     objs = np.asarray(objs, dtype=float)
-    f1 = objs[:, 0]
-    f2 = objs[:, 1]
-    no_worse = (f1[:, None] <= f1[None, :]) & (f2[:, None] <= f2[None, :])
-    better = (f1[:, None] < f1[None, :]) | (f2[:, None] < f2[None, :])
-    dom = no_worse & better  # dom[i, j]: i dominates j
-    n_dominators = dom.sum(axis=0).astype(np.int64)
-    fronts: list[np.ndarray] = []
-    current = np.flatnonzero(n_dominators == 0)
-    while current.size:
-        fronts.append(current)
-        n_dominators[current] = -1
-        n_dominators -= dom[current].sum(axis=0)
-        current = np.flatnonzero(n_dominators == 0)
-    return fronts
+    order = np.lexsort((objs[:, 1], objs[:, 0]))
+    f1, f2 = objs[order, 0].tolist(), objs[order, 1].tolist()
+    front_f2: list[float] = []
+    front_of = []
+    k = 0
+    for s in range(len(order)):
+        if s == 0 or f1[s] != f1[s - 1] or f2[s] != f2[s - 1]:
+            k = bisect_right(front_f2, f2[s])
+            front_f2[k : k + 1] = [f2[s]]  # k == len(front_f2) opens a front
+        front_of.append(k)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = front_of
+    rows = np.argsort(rank, kind="stable")
+    return np.split(rows, np.cumsum(np.bincount(rank))[:-1]) if rows.size else []
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -158,102 +169,84 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
 
 
 def tournament_select(
-    rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Binary tournament under the crowded comparison operator.
+    rank: np.ndarray, crowding: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``size`` binary tournaments under the crowded comparison operator.
 
     Lower rank wins; equal ranks fall back to larger crowding distance; a
-    full tie is settled by a coin flip. Returns the winning row index.
+    full tie is settled by a coin flip. Returns the winning row indices.
     """
-    i, j = (int(v) for v in rng.integers(0, rank.size, size=2))
-    if i == j:
-        return i
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i if int(rng.integers(0, 2)) == 0 else j
+    i, j = rng.integers(0, rank.size, size=(2, size))
+    coin = rng.random(size) < 0.5
+    ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & coin)))
+    return np.where(i_wins, i, j)
 
 
 def sbx_crossover(
-    p1: np.ndarray,
-    p2: np.ndarray,
+    P1: np.ndarray,
+    P2: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     params: NsgaParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover with distribution index ``crossover_eta``.
+    """Simulated binary crossover of the row pairs of two ``(pairs, n_vars)``
+    arrays, with distribution index ``crossover_eta``.
 
-    The whole pair is crossed with probability ``crossover_prob``; inside a
+    Each pair is crossed with probability ``crossover_prob``; inside a
     crossed pair each variable participates with probability 0.5 and the two
     offspring values are assigned to the children in random order, as in
     Deb's reference implementation (the swap is what lets good coordinates
     recombine across the pair). Children are mean-preserving before the
-    final clip to the box.
+    final clip to the box; they are new arrays, never views of the parents.
     """
-    c1 = p1.copy()
-    c2 = p2.copy()
-    if rng.random() >= params.crossover_prob:
-        return c1, c2
+    pairs, n_vars = P1.shape
+    crossed = (rng.random(pairs) < params.crossover_prob)[:, None]
+    active = crossed & (rng.random((pairs, n_vars)) < 0.5) & (np.abs(P1 - P2) > _SBX_EPS)
+    u = rng.random((pairs, n_vars))
+    swap = rng.random((pairs, n_vars)) < 0.5
     exponent = 1.0 / (params.crossover_eta + 1.0)
-    for k in range(p1.size):
-        if rng.random() >= 0.5:
-            continue
-        x1, x2 = p1[k], p2[k]
-        if abs(x1 - x2) <= _SBX_EPS:
-            continue
-        u = rng.random()
-        if u <= 0.5:
-            beta = (2.0 * u) ** exponent
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** exponent
-        lo = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
-        hi = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
-        if rng.random() < 0.5:
-            lo, hi = hi, lo
-        c1[k] = lo
-        c2[k] = hi
-    np.clip(c1, lower, upper, out=c1)
-    np.clip(c2, lower, upper, out=c2)
-    return c1, c2
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exponent
+    lo = 0.5 * ((1.0 + beta) * P1 + (1.0 - beta) * P2)
+    hi = 0.5 * ((1.0 - beta) * P1 + (1.0 + beta) * P2)
+    C1 = np.where(active, np.where(swap, hi, lo), P1)
+    C2 = np.where(active, np.where(swap, lo, hi), P2)
+    return np.clip(C1, lower, upper), np.clip(C2, lower, upper)
 
 
 def polynomial_mutation(
-    x: np.ndarray,
+    X: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     params: NsgaParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Polynomial mutation with distribution index ``mutation_eta``.
+    """Polynomial mutation of the rows of ``X`` with distribution index
+    ``mutation_eta``.
 
-    Each variable mutates independently at the per-variable rate; the
-    perturbation is a polynomial-distributed fraction of the variable's
-    range, clipped back into the box.
+    Each row is mutated with probability ``mutation_prob``; inside a
+    mutated row each variable mutates independently at the per-variable
+    rate. The perturbation is a polynomial-distributed fraction of the
+    variable's range, clipped back into the box. Returns a new array.
     """
-    y = x.copy()
+    k, n_vars = X.shape
     rate = params.mutation_prob_per_var
     if rate is None:
-        rate = 1.0 / x.size
+        rate = 1.0 / n_vars
+    mutated = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
+    u = rng.random((k, n_vars))
     exponent = 1.0 / (params.mutation_eta + 1.0)
-    for k in range(x.size):
-        if rng.random() >= rate:
-            continue
-        u = rng.random()
-        if u < 0.5:
-            delta = (2.0 * u) ** exponent - 1.0
-        else:
-            delta = 1.0 - (2.0 * (1.0 - u)) ** exponent
-        y[k] = y[k] + delta * (upper[k] - lower[k])
-    np.clip(y, lower, upper, out=y)
-    return y
+    delta = np.where(
+        u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent
+    )
+    return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
 
 
 def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
-    F = np.empty((X.shape[0], 2))
-    for k, x in enumerate(X):
-        F[k] = problem.evaluate(x)
+    F = np.asarray(problem.evaluate(X), dtype=float)
+    if F.shape != (X.shape[0], 2):
+        raise DimensionMismatchError(f"evaluate must return shape ({len(X)}, 2), got {F.shape}")
     return F
 
 
@@ -309,33 +302,21 @@ def run(
 
     X = rng.uniform(lower, upper, size=(params.pop_size, problem.n_vars))
     F = _evaluate(problem, X)
-    # the initial population keeps its order; only rank and crowding are set
-    order, r, c = _select_next(F, params.pop_size)
-    rank, crowding = np.empty_like(r), np.empty_like(c)
-    rank[order], crowding[order] = r, c
-    if on_generation is not None:
-        on_generation(0, F)
-
-    for gen in range(1, params.generations + 1):
-        children, parents = [], []
-        for _ in range(params.pop_size // 2):
-            i = tournament_select(rank, crowding, rng)
-            j = tournament_select(rank, crowding, rng)
-            for child, p in zip(sbx_crossover(X[i], X[j], lower, upper, params, rng), (i, j)):
-                if rng.random() < params.mutation_prob:
-                    child = polynomial_mutation(child, lower, upper, params, rng)
-                children.append(child)
-                parents.append(p)
-        offspring = np.array(children)
-        # a child that neither crossover nor mutation changed keeps its
-        # parent's objectives; only the others are evaluated
-        parents = np.array(parents)
-        copied = np.all(offspring == X[parents], axis=1)
-        F_off = np.empty((offspring.shape[0], 2))
-        F_off[copied] = F[parents[copied]]
-        F_off[~copied] = _evaluate(problem, offspring[~copied])
-        X = np.concatenate([X, offspring])
-        F = np.concatenate([F, F_off])
+    # generation 0 only ranks the initial population
+    for gen in range(params.generations + 1):
+        if gen > 0:
+            i, j = tournament_select(rank, crowding, params.pop_size, rng).reshape(2, -1)
+            C1, C2 = sbx_crossover(X[i], X[j], lower, upper, params, rng)
+            offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
+            # a child that neither crossover nor mutation changed keeps its
+            # parent's objectives; only the others are evaluated
+            parents = np.concatenate([i, j])
+            F_off = F[parents]
+            changed = ~np.all(offspring == X[parents], axis=1)
+            if changed.any():
+                F_off[changed] = _evaluate(problem, offspring[changed])
+            X = np.concatenate([X, offspring])
+            F = np.concatenate([F, F_off])
         keep, rank, crowding = _select_next(F, params.pop_size)
         X, F = X[keep], F[keep]
         if on_generation is not None:

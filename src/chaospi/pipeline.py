@@ -52,6 +52,10 @@ from .series import TimeSeries
 # so clipping can never park a variable on an excluded endpoint.
 _BOUND_MARGIN = 1e-6
 
+# The grid search tabulates coverage for every (r1, r2) pair, (1/step)**2
+# cells; this floor keeps that table near 8 MB.
+_MIN_GRID_STEP = 0.001
+
 MODEL_KINDS = ("two_stage", "three_stage_single", "three_stage_dual")
 POINT_POLICIES = ("min_smape", "max_ds", "knee")
 INTERVAL_POLICIES = ("max_picp", "min_piaw_above")
@@ -175,8 +179,8 @@ class PipelineConfig:
             raise ConfigError(f"point_policy must be one of {POINT_POLICIES}")
         if self.interval_policy not in INTERVAL_POLICIES:
             raise ConfigError(f"interval_policy must be one of {INTERVAL_POLICIES}")
-        if not 0.0 < self.grid_step < 0.5:
-            raise ConfigError("grid_step must lie in (0, 0.5)")
+        if not _MIN_GRID_STEP <= self.grid_step < 0.5:
+            raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
         if not 0.0 < self.picp_target <= 1.0:
             raise ConfigError("picp_target must lie in (0, 1]")
         if not 0.0 < self.picp_threshold <= 1.0:
@@ -282,9 +286,9 @@ def fit_stage2(
             f"need at least m + 2 = {emb.m + 2} training rows, got {X.shape[0]}"
         )
 
-    def evaluate(c: np.ndarray) -> tuple[float, float]:
-        pred = c[0] + X @ c[1:]
-        return metrics.smape(y, pred), -metrics.directional_symmetry(y, pred)
+    def evaluate(C: np.ndarray) -> np.ndarray:
+        P = C[:, :1] + C[:, 1:] @ X.T
+        return np.column_stack([metrics.smape(y, P), -metrics.directional_symmetry(y, P)])
 
     bound = 0.5 - _BOUND_MARGIN
     problem = Problem(
@@ -351,8 +355,8 @@ def grid_search_r(
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape or a.ndim != 1 or a.size == 0:
         raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
-    if not 0.0 < grid_step < 0.5:
-        raise ConfigError("grid_step must lie in (0, 0.5)")
+    if not _MIN_GRID_STEP <= grid_step < 0.5:
+        raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
     if not 0.0 < picp_target <= 1.0:
         raise ConfigError("picp_target must lie in (0, 1]")
     if sigma < 0.0:
@@ -405,11 +409,10 @@ def fit_stage3(
         raise ConfigError("sigma must be non-negative")
     n_vars = 1 if variant == "single" else 2
 
-    def evaluate(v: np.ndarray) -> tuple[float, float]:
-        r1, r2 = float(v[0]), float(v[-1])
-        lower = p - r1 * sigma
-        upper = p + r2 * sigma
-        return -metrics.picp(a, lower, upper), metrics.piaw(lower, upper)
+    def evaluate(V: np.ndarray) -> np.ndarray:
+        lower = p - V[:, :1] * sigma
+        upper = p + V[:, -1:] * sigma
+        return np.column_stack([-metrics.picp(a, lower, upper), metrics.piaw(lower, upper)])
 
     problem = Problem(
         n_vars=n_vars,
@@ -453,6 +456,8 @@ def select_interval_params(
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
     """Independent per-stage seeds derived from one run seed."""
+    if seed < 0:
+        raise ConfigError(f"run seeds must be non-negative, got {seed}")
     children = np.random.SeedSequence(seed).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 

@@ -102,10 +102,10 @@ def test_criterion_03_cao_recovery():
 
 
 def zdt1_problem(n_vars=30):
-    def evaluate(x):
-        f1 = float(x[0])
-        g = 1.0 + 9.0 * float(np.sum(x[1:])) / (n_vars - 1)
-        return f1, g * (1.0 - math.sqrt(f1 / g))
+    def evaluate(X):
+        f1 = X[:, 0]
+        g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (n_vars - 1)
+        return np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
 
     return Problem(n_vars=n_vars, lower=np.zeros(n_vars), upper=np.ones(n_vars), evaluate=evaluate)
 

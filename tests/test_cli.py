@@ -4,15 +4,22 @@ Configs here shrink the optimizer blocks hard; output correctness and
 determinism are what matters, not front quality.
 """
 
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chaospi import cli
+from chaospi import cli, pipeline
+from chaospi.errors import ConfigError
 from chaospi.series import TimeSeries, write_series
 from helpers import ar2_values, logistic_map
 
@@ -269,3 +276,152 @@ def test_console_script_entry_point(tmp_path, series_csv):
     assert proc.returncode == 0, proc.stderr
     assert (out / "chaos.json").exists()
     assert "lambda=" in proc.stdout
+
+
+class _HalfWrite:
+    """An ``open`` whose written files take half of the text, then fail."""
+
+    def __init__(self):
+        self.real_open = open
+
+    def __call__(self, path, mode="r", **kwargs):
+        fh = self.real_open(path, mode, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise ConfigError("simulated failure in the middle of a write")
+
+            fh.write = write
+        return fh
+
+
+def _failing_replace(src, dst):
+    raise ConfigError("simulated failure before the rename")
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [("open", _HalfWrite()), ("replace", _failing_replace)],
+    ids=["half_write", "rename"],
+)
+def test_failed_write_leaves_no_partial_file(tmp_path, series_csv, capsys, monkeypatch, patch):
+    cfg = write_config(tmp_path)
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+
+    def intervals(out):
+        return cli.main(["intervals", "--input", str(series_csv), "--config", str(cfg),
+                         "--out", str(out)])
+
+    assert intervals(kept) == 0
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    assert set(before) == {"report.json", "intervals.csv", "chaos.json", "divergence.csv"}
+    name, broken = patch
+    if name == "open":
+        monkeypatch.setattr(cli, "open", broken, raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "replace", broken)
+    assert intervals(kept) == 1
+    assert intervals(fresh) == 1
+    assert "simulated failure" in capsys.readouterr().err
+    # earlier outputs survive whole, and no temporary file is left behind
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+    assert list(fresh.iterdir()) == []
+
+
+# Config values drawn from mixed JSON types; integers stay in [-3, 20] and
+# the base config keeps the stage blocks small, so valid configs run fast.
+_WORDS = sorted(
+    {*pipeline.MODEL_KINDS, *pipeline.POINT_POLICIES, *pipeline.INTERVAL_POLICIES,
+     *pipeline.PRESETS, "", "x", "value"}
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.floats(-3.0, 20.0)
+    | st.sampled_from(_WORDS)
+)
+_VALUES = (
+    _SCALARS
+    | st.lists(_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2)
+)
+
+
+_TYPED = {
+    int: st.integers(-3, 20),
+    float: st.integers(-3, 20) | st.floats(-3.0, 20.0),
+    bool: st.booleans(),
+    str: st.sampled_from(_WORDS),
+    list: st.lists(st.integers(-3, 20), max_size=3),
+}
+_TOP_KINDS = {
+    **dict.fromkeys(["input", "column", "out", "model", "preset", "point_policy",
+                     "interval_policy"], str),
+    **dict.fromkeys(["test_horizon", "tau", "m", "seed", "seed_base", "seed_count",
+                     "workers"], int),
+    **dict.fromkeys(["grid_step", "picp_target", "picp_threshold"], float),
+    "standardize": bool,
+    "seeds": list,
+    # the blocks as a whole take any value here; their keys are drawn below
+    **dict.fromkeys(["stage2", "stage3", "chaos"]),
+}
+
+
+def _entries(kinds, max_size):
+    """Up to ``max_size`` entries: known keys (mostly with a value of the
+    kind the key takes, so that runs get past the type checks) and an
+    unknown one."""
+
+    def entry(key):
+        typed = _TYPED.get(kinds.get(key), _VALUES)
+        value = st.integers(0, 9).flatmap(lambda i: typed if i else _VALUES)
+        return st.tuples(st.just(key), value)
+
+    keys = st.sampled_from(sorted(kinds) + ["bogus"])
+    return st.lists(keys.flatmap(entry), max_size=max_size).map(dict)
+
+
+_CONFIGS = st.tuples(
+    _entries(_TOP_KINDS, 3),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "stage2": _entries({k: kind for k, (kind, _) in cli._NSGA_KEYS.items()}, 3),
+            "stage3": _entries({k: kind for k, (kind, _) in cli._NSGA_KEYS.items()}, 3),
+            "chaos": _entries({k: kind for k, (kind, _) in cli._CHAOS_KEYS.items()}, 3),
+        },
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "series.csv"
+    write_series(TimeSeries(values=ar2_values(n=70, seed=33)), path)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["analyze", "intervals", "experiment"]), drawn=_CONFIGS)
+@example(command="intervals", drawn=({"seed_base": -1}, {}))
+@example(command="intervals", drawn=({"grid_step": 6.583805462094533e-61}, {}))
+def test_fuzzed_config_exits_cleanly(fuzz_csv, command, drawn):
+    top, blocks = drawn
+    small = {"pop_size": 8, "generations": 4}
+    cfg = {"tau": 1, "m": 2, "test_horizon": 5, "seed_count": 2,
+           "stage2": dict(small), "stage3": dict(small), **top}
+    for key, block in blocks.items():
+        cfg[key] = {**cfg[key], **block} if isinstance(cfg.get(key), dict) else block
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "config.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--input", str(fuzz_csv), "--config", cfg_path,
+                           "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

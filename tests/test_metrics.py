@@ -125,3 +125,53 @@ def test_interval_metrics_match_brute_force(ap):
     assert picp(other, lo, hi) == pytest.approx(brute_picp(other, lo, hi), abs=1e-12)
     assert piaw(lo, hi) == pytest.approx(brute_piaw(lo, hi), abs=1e-6)
     assert 0.0 <= picp(other, lo, hi) <= 1.0
+
+
+# zeros, repeated values (ties, flat moves) and arbitrary floats
+_cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 5))
+    row = st.lists(_cells, min_size=n, max_size=n)
+    actual = np.array(draw(row))
+    first = np.array(draw(st.lists(row, min_size=k, max_size=k)))
+    second = np.array(draw(st.lists(row, min_size=k, max_size=k)))
+    return actual, first, second
+
+
+@settings(max_examples=200)
+@given(batches())
+def test_row_wise_metrics_equal_one_dimensional_calls(abq):
+    a, P, Q = abq
+    lo, hi = np.minimum(P, Q), np.maximum(P, Q)
+    pairs = [
+        (smape(a, P), [smape(a, p) for p in P]),
+        (smape(P, Q), [smape(p, q) for p, q in zip(P, Q)]),
+        (picp(a, lo, hi), [picp(a, l, h) for l, h in zip(lo, hi)]),
+        (piaw(lo, hi), [piaw(l, h) for l, h in zip(lo, hi)]),
+    ]
+    if a.size >= 2:
+        pairs.append((directional_symmetry(a, P), [directional_symmetry(a, p) for p in P]))
+        pairs.append(
+            (directional_symmetry(P, Q), [directional_symmetry(p, q) for p, q in zip(P, Q)])
+        )
+    for batch, rows in pairs:
+        assert isinstance(batch, np.ndarray) and all(isinstance(v, float) for v in rows)
+        assert batch.tolist() == rows
+
+
+def test_row_wise_validation():
+    a, P = np.zeros(4), np.zeros((3, 4))
+    with pytest.raises(LengthMismatchError):
+        smape(a, P[:, :3])  # rows of another length
+    with pytest.raises(LengthMismatchError):
+        piaw(P, np.zeros((2, 4)))  # another number of rows
+    with pytest.raises(LengthMismatchError):
+        picp(a, P, np.zeros((2, 4)))  # lower and upper disagree
+    with pytest.raises(LengthMismatchError):
+        smape(a, np.zeros((2, 3, 4)))
+    with pytest.raises(SeriesTooShortError):
+        directional_symmetry(a[:1], P[:, :1])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaospi.errors import ConfigError
+from chaospi import nsga2
+from chaospi.errors import ConfigError, DimensionMismatchError
 from chaospi.nsga2 import (
     NsgaParams,
     Problem,
@@ -80,20 +81,20 @@ def test_crowding_ignores_flat_objective():
 def test_tournament_prefers_rank_then_crowding():
     rng = np.random.default_rng(0)
     rank, crowding = np.array([0, 1]), np.zeros(2)
-    wins = [tournament_select(rank, crowding, rng) for _ in range(400)]
-    # the worse-ranked member can only come back via the i == j early
-    # return, which happens in a quarter of the draws
+    wins = tournament_select(rank, crowding, 400, rng).tolist()
+    # the worse-ranked member can only come back when it is drawn twice,
+    # which happens in a quarter of the tournaments
     assert 0 in wins and wins.count(1) < wins.count(0)
 
     rank, crowding = np.array([0, 0]), np.array([5.0, 1.0])
-    wins = [tournament_select(rank, crowding, rng) for _ in range(400)]
+    wins = tournament_select(rank, crowding, 400, rng).tolist()
     assert wins.count(0) > wins.count(1)
 
 
 def test_tournament_tie_breaks_by_fair_coin():
     rng = np.random.default_rng(42)
     rank, crowding = np.array([0, 0]), np.array([1.0, 1.0])
-    wins = np.array([tournament_select(rank, crowding, rng) for _ in range(4000)])
+    wins = tournament_select(rank, crowding, 4000, rng)
     share = np.mean(wins == 0)
     assert 0.42 <= share <= 0.58
 
@@ -106,86 +107,78 @@ def params_for(n_vars, **kw):
 
 def test_sbx_identical_parents_are_fixed_points():
     rng = np.random.default_rng(1)
-    p = np.array([0.25, 0.5, 0.75])
+    P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
-    c1, c2 = sbx_crossover(p, p.copy(), lo, hi, params_for(3, crossover_prob=1.0), rng)
-    assert np.array_equal(c1, p) and np.array_equal(c2, p)
+    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, params_for(3, crossover_prob=1.0), rng)
+    assert np.array_equal(C1, P) and np.array_equal(C2, P)
 
 
 def test_sbx_zero_probability_returns_copies():
     rng = np.random.default_rng(1)
-    p1, p2 = np.array([0.2]), np.array([0.8])
-    c1, c2 = sbx_crossover(p1, p2, np.zeros(1), np.ones(1), params_for(1, crossover_prob=0.0), rng)
-    assert c1[0] == 0.2 and c2[0] == 0.8
-    c1[0] = 99.0
-    assert p1[0] == 0.2  # children are copies, not views
+    P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), params_for(1, crossover_prob=0.0), rng)
+    assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
+    C1[0, 0] = 99.0
+    assert P1[0, 0] == 0.2  # children are copies, not views
 
 
 def test_sbx_preserves_pair_mean_inside_wide_box():
-    p1 = np.array([0.3, 0.3])
-    p2 = np.array([0.7, 0.7])
+    P1 = np.full((200, 2), 0.3)
+    P2 = np.full((200, 2), 0.7)
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
-    params = params_for(2, crossover_prob=1.0)
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        c1, c2 = sbx_crossover(p1, p2, lo, hi, params, rng)
-        assert c1 + c2 == pytest.approx(p1 + p2, abs=1e-9)
+    rng = np.random.default_rng(0)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, params_for(2, crossover_prob=1.0), rng)
+    assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
 
 
 def test_sbx_offspring_order_is_randomized():
     # without the child swap, c1 would always take the low offspring value
-    p1 = np.array([0.3])
-    p2 = np.array([0.7])
+    P1 = np.full((100, 1), 0.3)
+    P2 = np.full((100, 1), 0.7)
     lo, hi = np.zeros(1), np.ones(1)
-    params = params_for(1, crossover_prob=1.0)
-    signs = set()
-    for seed in range(100):
-        c1, c2 = sbx_crossover(p1, p2, lo, hi, params, np.random.default_rng(seed))
-        if c1[0] != 0.3:
-            signs.add(c1[0] < c2[0])
-    assert signs == {True, False}
+    rng = np.random.default_rng(0)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, params_for(1, crossover_prob=1.0), rng)
+    moved = C1[:, 0] != 0.3
+    assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
 
 @settings(max_examples=100)
 @given(st.integers(0, 10_000))
 def test_sbx_respects_bounds(seed):
     rng = np.random.default_rng(seed)
-    p1 = np.array([0.01, 0.99, 0.5])
-    p2 = np.array([0.98, 0.02, 0.51])
-    c1, c2 = sbx_crossover(p1, p2, np.zeros(3), np.ones(3), params_for(3, crossover_prob=1.0), rng)
-    for c in (c1, c2):
-        assert np.all(c >= 0.0) and np.all(c <= 1.0)
+    P1 = np.tile([0.01, 0.99, 0.5], (8, 1))
+    P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), params_for(3, crossover_prob=1.0), rng)
+    for C in (C1, C2):
+        assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
 
 def test_mutation_zero_rate_is_identity():
     rng = np.random.default_rng(0)
-    x = np.array([0.5, 0.5])
-    y = polynomial_mutation(x, np.zeros(2), np.ones(2), params_for(2, mutation_prob_per_var=0.0), rng)
-    assert np.array_equal(y, x)
-    y[0] = 9.0
-    assert x[0] == 0.5
+    X = np.full((6, 2), 0.5)
+    Y = polynomial_mutation(X, np.zeros(2), np.ones(2), params_for(2, mutation_prob_per_var=0.0), rng)
+    assert np.array_equal(Y, X)
+    Y[0, 0] = 9.0
+    assert X[0, 0] == 0.5
 
 
 @settings(max_examples=100)
 @given(st.integers(0, 10_000))
 def test_mutation_respects_bounds(seed):
     rng = np.random.default_rng(seed)
-    x = np.array([0.0, 1.0, 0.5])
-    y = polynomial_mutation(x, np.zeros(3), np.ones(3), params_for(3, mutation_prob_per_var=1.0), rng)
-    assert np.all(y >= 0.0) and np.all(y <= 1.0)
+    X = np.tile([0.0, 1.0, 0.5], (8, 1))
+    Y = polynomial_mutation(X, np.zeros(3), np.ones(3), params_for(3, mutation_prob_per_var=1.0), rng)
+    assert np.all(Y >= 0.0) and np.all(Y <= 1.0)
 
 
 def test_mutation_spread_shrinks_with_eta():
-    x = np.full(1, 0.5)
+    X = np.full((500, 1), 0.5)
     lo, hi = np.zeros(1), np.ones(1)
 
     def mean_move(eta):
-        moves = []
-        for seed in range(500):
-            rng = np.random.default_rng(seed)
-            y = polynomial_mutation(x, lo, hi, params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta), rng)
-            moves.append(abs(y[0] - 0.5))
-        return np.mean(moves)
+        rng = np.random.default_rng(0)
+        params = params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta)
+        return np.mean(np.abs(polynomial_mutation(X, lo, hi, params, rng) - 0.5))
 
     assert mean_move(5.0) > mean_move(50.0)
 
@@ -217,8 +210,8 @@ def test_problem_validation():
 
 def two_bowl_problem():
     # continuous Pareto set on [1, 3]: f1 pulls toward 1, f2 toward 3
-    def evaluate(x):
-        return float((x[0] - 1.0) ** 2), float((x[0] - 3.0) ** 2)
+    def evaluate(X):
+        return np.column_stack([(X[:, 0] - 1.0) ** 2, (X[:, 0] - 3.0) ** 2])
 
     return Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
 
@@ -238,7 +231,7 @@ def test_run_returns_consistent_front():
     for x, f in front:
         assert f in rank0
         assert -5.0 <= x[0] <= 5.0
-        assert f == pytest.approx(problem.evaluate(x))
+        assert f == pytest.approx(tuple(problem.evaluate(x[None, :])[0]))
     objs = [f for _, f in front]
     for a in objs:
         assert not any(dominates(b, a) for b in objs)
@@ -254,29 +247,25 @@ def test_run_is_deterministic():
 
 
 # Front 0 of a seeded 3-variable ZDT1 run (pop 12, 10 generations, seed
-# 2024), recorded with repr precision. Any change to the order or number of
-# random draws moves these values; a rewrite that changes the PCG64 stream on
-# purpose must update them and say so.
+# 2024), recorded with repr precision. Any change to the order, shape or
+# number of random draws moves these values; a rewrite that changes the
+# PCG64 stream on purpose must update them and say so.
 PINNED_ZDT1_FRONT = [
-    ([0.0, 0.15141415300799896, 0.0], (0.0, 1.6813636885359953)),
-    ([0.6394962403120211, 0.07640774083903314, 0.0], (0.6394962403120211, 0.4168087695251031)),
-    ([0.12316515957370666, 0.1221303605989808, 0.0], (0.12316515957370666, 1.1127169812031694)),
-    ([0.448373971267682, 0.1470742666399912, 0.0], (0.448373971267682, 0.7986290100272646)),
-    ([0.5628918760769123, 0.16062771924150865, 0.0], (0.5628918760769123, 0.7380587501062192)),
-    ([0.11313167859712418, 0.17014306549219316, 0.0], (0.11313167859712418, 1.3187095195684118)),
-    ([0.5917384930800256, 0.08149587553281656, 0.0], (0.5917384930800256, 0.4674274853360683)),
-    ([0.48072218589036536, 0.14990275665061517, 3.2919446293978425e-05], (0.48072218589036536, 0.777453325862428)),
-    ([0.030733024764307955, 0.1522613628643719, 3.309906426402098e-05], (0.030733024764307955, 1.4577396279599135)),
-    ([0.014557067517262323, 0.1520578142103387, 1.7961797004255648e-07], (0.014557067517262323, 1.5276790425886089)),
-    ([0.030733024764307955, 0.1522613628643719, 3.309906426402098e-05], (0.030733024764307955, 1.4577396279599135)),
-    ([0.010634696499875963, 0.17014306549219316, 0.0], (0.010634696499875963, 1.62861428736816)),
+    ([0.0, 0.18085309914823405, 0.05556307091707027], (0.0, 2.0638727652938695)),
+    ([0.8274015442218986, 0.0, 0.0], (0.8274015442218986, 0.09038384786664078)),
+    ([0.7315724298740729, 0.17232787711776137, 0.0], (0.7315724298740729, 0.6357873813885249)),
+    ([0.030741302072841252, 0.0, 0.02116457773934842], (0.030741302072841252, 0.9117491228540933)),
+    ([0.13334423970192227, 0.0, 0.02116457773934842], (0.13334423970192227, 0.7130835312353465)),
+    ([0.0042772138588098585, 0.0, 0.08978911106718161], (0.0042772138588098585, 1.3265563135662255)),
+    ([0.016198065000888825, 0.018892433242018707, 0.0], (0.016198065000888825, 0.9524446145334051)),
+    ([0.030741302072841252, 0.0, 0.02116457773934842], (0.030741302072841252, 0.9117491228540933)),
 ]
 
 
 def test_run_reproduces_pinned_front():
-    def zdt1(x):
-        g = 1.0 + 9.0 * float(np.sum(x[1:])) / (len(x) - 1)
-        return float(x[0]), g * (1.0 - (float(x[0]) / g) ** 0.5)
+    def zdt1(X):
+        g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (X.shape[1] - 1)
+        return np.column_stack([X[:, 0], g * (1.0 - (X[:, 0] / g) ** 0.5)])
 
     problem = Problem(n_vars=3, lower=np.zeros(3), upper=np.ones(3), evaluate=zdt1)
     front = run(problem, NsgaParams(pop_size=12, generations=10, seed=2024))
@@ -296,15 +285,77 @@ def test_unchanged_children_are_not_reevaluated():
     calls = []
     inner = two_bowl_problem().evaluate
 
-    def evaluate(x):
-        calls.append(x.copy())
-        return inner(x)
+    def evaluate(X):
+        calls.append(X.copy())
+        return inner(X)
 
     problem = Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
     params = params_for(1, generations=5, crossover_prob=0.0, mutation_prob=0.0)
     front, F = final_objectives(problem, params)
-    assert len(calls) == params.pop_size
-    assert all(f == inner(x) for x, f in front)
+    assert len(calls) == 1 and calls[0].shape == (params.pop_size, 1)
+    assert all(f == tuple(inner(x[None, :])[0]) for x, f in front)
+
+
+def test_evaluate_gets_only_changed_children_once_per_generation(monkeypatch):
+    """One 2-D batch for the initial population, then at most one per
+    generation, holding exactly the children that differ from their parent
+    in population order; a generation with no such child makes no call."""
+    events, parents, children = [], [], []
+    sbx, mutate = nsga2.sbx_crossover, nsga2.polynomial_mutation
+
+    def sbx_spy(P1, P2, *args):
+        parents.append(np.concatenate([P1, P2]))
+        return sbx(P1, P2, *args)
+
+    def mutate_spy(*args):
+        children.append(mutate(*args))
+        return children[-1]
+
+    monkeypatch.setattr(nsga2, "sbx_crossover", sbx_spy)
+    monkeypatch.setattr(nsga2, "polynomial_mutation", mutate_spy)
+    inner = two_bowl_problem().evaluate
+
+    def evaluate(X):
+        events.append(("eval", X.copy()))
+        return inner(X)
+
+    problem = Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
+    # low rates leave some generations without a changed child
+    params = params_for(1, pop_size=4, generations=40, crossover_prob=0.2, mutation_prob=0.2)
+    run(problem, params, on_generation=lambda g, F: events.append(("gen", g)))
+
+    assert events[0][0] == "eval" and events[0][1].shape == (4, 1)
+    batches = {}
+    for prev, (kind, value) in zip(events, events[1:]):
+        if kind == "eval":
+            assert prev[0] == "gen", "two evaluate calls in one generation"
+            batches[prev[1] + 1] = value
+    skipped = 0
+    for gen in range(1, params.generations + 1):
+        off, par = children[gen - 1], parents[gen - 1]
+        changed = off[np.any(off != par, axis=1)]
+        if changed.size:
+            assert np.array_equal(batches[gen], changed)
+        else:
+            assert gen not in batches
+            skipped += 1
+    assert all(b.ndim == 2 and b.shape[0] > 0 for b in batches.values())
+    assert 0 < skipped < params.generations
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda X: X[:, 0],  # (k,)
+        lambda X: np.zeros((X.shape[0], 3)),  # three objectives
+        lambda X: np.zeros((1, 2)),  # one row for the whole batch
+        lambda X: (0.0, 0.0),  # one vector's pair
+    ],
+)
+def test_wrong_shaped_objectives_raise(bad):
+    problem = Problem(n_vars=1, lower=np.zeros(1), upper=np.ones(1), evaluate=bad)
+    with pytest.raises(DimensionMismatchError, match="evaluate must return shape"):
+        run(problem, params_for(1))
 
 
 def test_observer_fires_once_per_generation():
@@ -322,9 +373,9 @@ def test_scalar_bests_never_worsen():
         best1.append(F[:, 0].min())
         best2.append(F[:, 1].min())
 
-    def zdt1(x):
-        g = 1.0 + 9.0 * np.sum(x[1:]) / (len(x) - 1)
-        return float(x[0]), float(g * (1.0 - np.sqrt(x[0] / g)))
+    def zdt1(X):
+        g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (X.shape[1] - 1)
+        return np.column_stack([X[:, 0], g * (1.0 - np.sqrt(X[:, 0] / g))])
 
     problem = Problem(n_vars=8, lower=np.zeros(8), upper=np.ones(8), evaluate=zdt1)
     run(problem, params_for(8, pop_size=24, generations=40, seed=7), on_generation=watch)
@@ -369,7 +420,7 @@ def test_elitism_violations_flags_each_clause_alone():
 
 
 def test_evaluation_errors_propagate():
-    def boom(x):
+    def boom(X):
         raise ValueError("bad objective")
 
     problem = Problem(n_vars=1, lower=np.zeros(1), upper=np.ones(1), evaluate=boom)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chaospi import pipeline
 from chaospi.chaos import EmbeddingParams, reconstruct
 from chaospi.errors import (
     ConfigError,
@@ -152,6 +153,8 @@ class TestGridSearch:
             grid_search_r(a, np.zeros(2), 1.0)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, grid_step=0.5)
+        with pytest.raises(ConfigError):  # a (1/step)**2 table would not fit in memory
+            grid_search_r(a, a, 1.0, grid_step=1e-61)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, picp_target=0.0)
         with pytest.raises(ConfigError):
@@ -191,6 +194,44 @@ class TestStage2:
         with pytest.raises(DimensionMismatchError):
             fit_stage2(self.data.inputs[:, :1], self.data.targets,
                        self.data.params, SMALL_STAGE2)
+
+
+def captured_problem(monkeypatch, fit, *args):
+    """The ``Problem`` a stage fit hands to the engine."""
+    seen = []
+    monkeypatch.setattr(pipeline, "nsga_run", lambda problem, params: seen.append(problem) or [])
+    fit(*args)
+    return seen[0]
+
+
+def test_batched_stage2_objective_matches_per_vector_values(monkeypatch):
+    data = reconstruct(TimeSeries(values=ar2_values(n=80, seed=9)), EmbeddingParams(tau=1, m=2))
+    X, y = data.inputs, data.targets
+    problem = captured_problem(monkeypatch, fit_stage2, X, y, data.params, SMALL_STAGE2)
+    C = np.random.default_rng(3).uniform(problem.lower, problem.upper, size=(40, 3))
+    got = problem.evaluate(C)
+    assert got.shape == (40, 2)
+    for c, f in zip(C, got):
+        # the matrix product may sum in another order than X @ c did
+        pred = c[0] + X @ c[1:]
+        assert f[0] == pytest.approx(smape(y, pred), abs=1e-12)
+        assert f[1] == pytest.approx(-directional_symmetry(y, pred), abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["single", "dual"])
+def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(monkeypatch, variant):
+    rng = np.random.default_rng(12)
+    pred = rng.uniform(2.0, 4.0, 15)
+    actual = pred + rng.normal(0.0, 0.4, 15)
+    sigma = 0.5
+    problem = captured_problem(monkeypatch, fit_stage3, actual, pred, sigma, variant, SMALL_STAGE3)
+    V = rng.uniform(problem.lower, problem.upper, size=(40, problem.n_vars))
+    got = problem.evaluate(V)
+    assert got.shape == (40, 2)
+    for v, f in zip(V, got):
+        r1, r2 = float(v[0]), float(v[-1])
+        lower, upper = pred - r1 * sigma, pred + r2 * sigma
+        assert (f[0], f[1]) == (-picp(actual, lower, upper), piaw(lower, upper))
 
 
 class TestPointSelection:
@@ -302,6 +343,8 @@ def test_pipeline_config_validation():
         PipelineConfig(interval_policy="narrow")
     with pytest.raises(ConfigError):
         PipelineConfig(grid_step=0.5)
+    with pytest.raises(ConfigError):
+        PipelineConfig(grid_step=0.0009)
     with pytest.raises(ConfigError):
         PipelineConfig(picp_target=1.5)
 
