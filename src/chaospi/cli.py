@@ -71,7 +71,6 @@ _TOP_KEYS = {
     "point_policy",
     "interval_policy",
     "picp_threshold",
-    "seed",
     "seeds",
     "seed_base",
     "seed_count",
@@ -148,6 +147,8 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
+    if "seed" in raw:
+        raise ConfigError("config key 'seed' was removed; choose seeds with 'seeds' or 'seed_base'")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -232,6 +233,8 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
         "out": pick("out", "out", str, "."),
         "workers": pick(None, "workers", int, 1),
     }
+    if meta["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {meta['workers']}")
 
     base = PipelineConfig(
         model=pick("model", "model", str, "two_stage"),
@@ -245,7 +248,6 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]
         interval_policy=pick(None, "interval_policy", str, "max_picp"),
         picp_threshold=pick(None, "picp_threshold", float, 0.95),
         standardize=pick(None, "standardize", bool, False),
-        seed=pick(None, "seed", int, 0),
     )
     preset = pick(None, "preset", str, nullable=True)
     if preset is not None:

@@ -27,9 +27,10 @@ three-stage runs with the same seed share an identical stage-2 model.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -579,6 +580,15 @@ def run_model(series: TimeSeries, config: PipelineConfig) -> tuple[RunResult, Ch
     return _run_seeded(series, config, chaos, config.seed), chaos
 
 
+def _seed_outcome(series, config, chaos, seed: int) -> RunResult | Exception:
+    """One seeded run, or the exception it raised; module-level so that the
+    bound job pickles for a process pool under any start method."""
+    try:
+        return _run_seeded(series, config, chaos, seed)
+    except Exception as exc:  # noqa: BLE001 - preserved in the report
+        return exc
+
+
 def run_experiment(
     series: TimeSeries,
     config: PipelineConfig,
@@ -587,48 +597,36 @@ def run_experiment(
 ) -> ExperimentReport:
     """Re-run one model over many seeds and aggregate test-set quality.
 
-    The chaos analysis runs once and is shared. Seeds run independently (in
-    threads when ``workers`` > 1) and results are collected in seed order, so
-    the report does not depend on scheduling. A failing seed is recorded and
-    skipped; aggregates cover the successful runs.
+    The chaos analysis runs once and is shipped with every seed's job. Seeds
+    run in a pool of ``min(workers, len(seeds), usable CPUs)`` processes, or
+    serially in this process when that is 1; results come back in seed order,
+    so the report does not depend on ``workers``. A failing seed is recorded
+    and skipped; aggregates cover the successful runs.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if not seeds:
         raise ConfigError("need at least one seed")
     chaos = analyze(series, _chaos_options(config))
-
-    def one(seed: int) -> RunResult:
-        return _run_seeded(series, config, chaos, seed)
-
-    outcomes: list[RunResult | Exception] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, s) for s in seeds]
-            for fut in futures:
-                outcomes.append(fut.exception() or fut.result())
+    job = partial(_seed_outcome, series, config, chaos)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(seeds), cpus or 1)
+    if size == 1:
+        outcomes = [job(s) for s in seeds]
     else:
-        for s in seeds:
-            try:
-                outcomes.append(one(s))
-            except Exception as exc:  # noqa: BLE001 - preserved in the report
-                outcomes.append(exc)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            outcomes = list(pool.map(job, seeds))
 
     results = [o for o in outcomes if isinstance(o, RunResult)]
-    failures = [
-        (seed, f"{type(o).__name__}: {o}")
-        for seed, o in zip(seeds, outcomes)
-        if not isinstance(o, RunResult)
-    ]
+    failures = [(seed, f"{type(o).__name__}: {o}")
+                for seed, o in zip(seeds, outcomes) if isinstance(o, Exception)]
+    stats = [math.nan] * 4
     if results:
         picps = np.array([r.test.picp for r in results])
         piaws = np.array([r.test.piaw for r in results])
-        stats = (
-            float(picps.mean()),
-            float(picps.std()),
-            float(piaws.mean()),
-            float(piaws.std()),
-        )
-    else:
-        stats = (math.nan, math.nan, math.nan, math.nan)
+        stats = [float(v) for v in (picps.mean(), picps.std(), piaws.mean(), piaws.std())]
     return ExperimentReport(
         model_kind=config.model,
         seeds=list(seeds),

@@ -221,6 +221,25 @@ def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exit_one(tmp_path, series_csv, capsys, workers):
+    cfg = write_config(tmp_path, workers=workers)
+    rc = cli.main(["experiment", "--input", str(series_csv), "--config", str(cfg),
+                   "--seeds", "0,1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_seed_key_names_its_replacements(tmp_path, series_csv, capsys):
+    cfg = write_config(tmp_path, seed=5)
+    rc = cli.main(["intervals", "--input", str(series_csv), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "'seeds'" in err and "'seed_base'" in err
+
+
 # a flag or another key that overrides a mistyped entry does not excuse it
 @pytest.mark.parametrize(
     "config, flags",
@@ -360,8 +379,7 @@ _TYPED = {
 _TOP_KINDS = {
     **dict.fromkeys(["input", "column", "out", "model", "preset", "point_policy",
                      "interval_policy"], str),
-    **dict.fromkeys(["test_horizon", "tau", "m", "seed", "seed_base", "seed_count",
-                     "workers"], int),
+    **dict.fromkeys(["test_horizon", "tau", "m", "seed_base", "seed_count", "workers"], int),
     **dict.fromkeys(["grid_step", "picp_target", "picp_threshold"], float),
     "standardize": bool,
     "seeds": list,

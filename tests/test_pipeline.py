@@ -1,7 +1,10 @@
 """Pipeline tests: the stage fits against recomputed metrics, the grid
 search against exhaustive enumeration, and the seeded runs end to end."""
 
+import concurrent.futures
 import math
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +61,41 @@ def small_config(**kw):
     )
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def use_recording_pool(monkeypatch, cpus, affinity=True):
+    """Give ``run_experiment`` ``cpus`` usable CPUs and, in place of the
+    process pool, one that records its size and job and runs the job in this
+    process, so no process is started. Returns the pools made.
+
+    With ``affinity`` the CPUs are this process's affinity set and
+    ``os.cpu_count`` reports many more; without it ``os.sched_getaffinity``
+    is absent, as on macOS, and ``os.cpu_count`` reports ``cpus``."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            self.job = fn
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pools
 
 
 def dummy_model(m=1):
@@ -462,9 +500,12 @@ class TestExperiment:
         assert report.picp_std == pytest.approx(float(picps.std()), abs=1e-15)
         assert report.seeds == [0, 1, 2, 3]
 
-    def test_failing_seeds_are_recorded(self):
+    # workers=2 runs the seeds in worker processes, so the failures cross the
+    # process boundary as values
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_seeds_are_recorded(self, workers):
         short = TimeSeries(values=ar2_values(n=30, seed=8))
-        report = run_experiment(short, small_config(test_horizon=25), [0, 1])
+        report = run_experiment(short, small_config(test_horizon=25), [0, 1], workers=workers)
         assert report.results == []
         assert [s for s, _ in report.failures] == [0, 1]
         assert "SeriesTooShortError" in report.failures[0][1]
@@ -473,3 +514,39 @@ class TestExperiment:
     def test_seed_list_must_not_be_empty(self):
         with pytest.raises(ConfigError):
             run_experiment(self.series, self.config, [])
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(self.series, self.config, [0], workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, n_seeds, cpus, affinity, pool_size",
+        [
+            (10_000, 4, 3, True, 3),  # capped at the affinity set, not cpu_count
+            (10_000, 4, 3, False, 3),  # capped at cpu_count without affinity
+            (10_000, 2, 3, True, 2),  # capped at the seed count
+            (10_000, 1, 3, True, None),  # one seed runs serially
+            (2, 4, 1, True, None),  # one usable CPU runs serially
+            (2, 4, None, False, None),  # an unknown CPU count runs serially
+            (1, 4, 3, True, None),  # workers=1 runs serially
+        ],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, workers, n_seeds, cpus, affinity, pool_size):
+        pools = use_recording_pool(monkeypatch, cpus, affinity)
+        seeds = list(range(n_seeds))
+        report = run_experiment(self.series, self.config, seeds, workers=workers)
+        assert [p.max_workers for p in pools] == ([] if pool_size is None else [pool_size])
+        assert [r.seed for r in report.results] == seeds
+
+    def test_seed_job_pickles(self, monkeypatch):
+        pools = use_recording_pool(monkeypatch, cpus=2)
+        run_experiment(self.series, self.config, [0, 1], workers=2)
+        (job,) = [p.job for p in pools]
+        # spawn-started workers receive the job pickled
+        clone = pickle.loads(pickle.dumps(job))
+        a, b = job(1), clone(1)
+        assert a.seed == b.seed == 1
+        assert np.array_equal(a.point_model.coeffs, b.point_model.coeffs)
+        assert (a.test.picp, a.test.piaw) == (b.test.picp, b.test.piaw)
+        assert isinstance(clone(-1), ConfigError)  # a failure comes back as a value
