@@ -405,6 +405,8 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
         if m < 1:
             raise ConfigError(f"m must be >= 1, got {m}")
     else:
+        if opts.cao_max_dim < 1:
+            raise ConfigError(f"cao_max_dim must be >= 1, got {opts.cao_max_dim}")
         max_dim = min(opts.cao_max_dim, (n - 2) // tau - 1)
         if max_dim < 1:
             raise SeriesTooShortError(

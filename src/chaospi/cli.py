@@ -11,6 +11,10 @@ Subcommands:
   best/median/worst attainment surfaces as ``eaf_<level>.csv``.
 * ``eaf`` -- recompute attainment surfaces from previously saved front CSVs.
 
+The JSON config takes the scalar fields of the config dataclasses, which own
+every default, plus the run-setup keys in ``_SETUP_KEYS``; a flag overrides
+the key its ``dest`` names.
+
 Exit codes: 0 on success, 1 on any domain or configuration error, 2 on an
 operating-system I/O failure. Outputs are plain JSON/CSV written with
 deterministic formatting, so re-running a command with identical inputs and
@@ -40,45 +44,44 @@ from .nsga2 import NsgaParams
 from .pipeline import ExperimentReport, PipelineConfig, RunResult
 from .series import TimeSeries, load_series
 
-# Keys of the "chaos" and "stage2"/"stage3" config blocks: (kind, may be null).
-_CHAOS_KEYS = {
-    "max_lag": (int, True),
-    "cao_max_dim": (int, False),
-    "cao_threshold": (float, False),
-    "theiler_window": (int, True),
-    "k_max": (int, True),
-    "fit_start": (int, False),
-    "fit_stop": (int, True),
-}
-_NSGA_KEYS = {
-    f.name: (float if "float" in str(f.type) else int, "None" in str(f.type))
-    for f in fields(NsgaParams)
-}
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
                str: "a string", list: "a list"}
-_TOP_KEYS = {
-    "input",
-    "column",
-    "out",
-    "model",
-    "preset",
-    "test_horizon",
-    "tau",
-    "m",
-    "standardize",
-    "grid_step",
-    "picp_target",
-    "point_policy",
-    "interval_policy",
-    "picp_threshold",
-    "seeds",
-    "seed_base",
-    "seed_count",
-    "workers",
-    "stage2",
-    "stage3",
-    "chaos",
+
+
+def _fields(cls: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, bool]]:
+    """(JSON kind, may be null) of each scalar field of a config dataclass,
+    read from its annotation text (the config modules postpone annotations);
+    nested option blocks and the fields in ``skip`` are left out."""
+    table = {}
+    for f in fields(cls):
+        kind, *rest = str(f.type).split(" | ")
+        if kind in _SCALARS and f.name not in skip:
+            table[f.name] = (_SCALARS[kind], rest == ["None"])
+    return table
+
+
+# The seeds come from the run setup, so neither the top level nor a stage
+# block takes a "seed"; the chaos block's tau/m are the top-level ones.
+_PIPELINE_KEYS = _fields(PipelineConfig, skip=("seed",))
+_NSGA_KEYS = _fields(NsgaParams, skip=("seed",))
+_ANALYZE_KEYS = _fields(AnalyzeOptions, skip=("tau", "m"))
+_ROSENSTEIN_KEYS = _fields(RosensteinOptions)
+_BLOCKS = {"stage2": _NSGA_KEYS, "stage3": _NSGA_KEYS,
+           "chaos": {**_ANALYZE_KEYS, **_ROSENSTEIN_KEYS}}
+# Run-setup keys the CLI owns: (kind, may be null, default).
+_SETUP_KEYS = {
+    "input": (str, True, None),
+    "column": (str, True, None),
+    "out": (str, False, "."),
+    "workers": (int, False, 1),
+    "preset": (str, True, None),
+    "seeds": (list, False, None),
+    "seed_base": (int, False, 0),
+    "seed_count": (int, False, 20),
 }
+# Every top-level key apart from the blocks: (kind, may be null).
+_CONFIG_KEYS = {**_PIPELINE_KEYS, **{k: v[:2] for k, v in _SETUP_KEYS.items()}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,9 +150,12 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    if "seed" in raw:
-        raise ConfigError("config key 'seed' was removed; choose seeds with 'seeds' or 'seed_base'")
-    unknown = set(raw) - _TOP_KEYS
+    for prefix, block in [("", raw)] + [(f"{k}.", raw.get(k)) for k in ("stage2", "stage3")]:
+        if isinstance(block, dict) and "seed" in block:
+            raise ConfigError(
+                f"config key '{prefix}seed' was removed; choose seeds with 'seeds' or 'seed_base'"
+            )
+    unknown = set(raw) - set(_CONFIG_KEYS) - set(_BLOCKS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -189,26 +195,6 @@ def _block(raw: Any, label: str, keys: dict[str, tuple[type, bool]]) -> dict:
     return checked
 
 
-def _nsga_params(raw: Any, label: str, default: NsgaParams) -> NsgaParams:
-    return replace(default, **_block(raw, label, _NSGA_KEYS))
-
-
-def _chaos_opts(raw: Any) -> AnalyzeOptions:
-    raw = _block(raw, "chaos", _CHAOS_KEYS)
-    ros = RosensteinOptions(
-        theiler_window=raw.get("theiler_window"),
-        k_max=raw.get("k_max"),
-        fit_start=raw.get("fit_start", 0),
-        fit_stop=raw.get("fit_stop"),
-    )
-    return AnalyzeOptions(
-        max_lag=raw.get("max_lag"),
-        cao_max_dim=raw.get("cao_max_dim", 12),
-        cao_threshold=raw.get("cao_threshold", 0.05),
-        rosenstein=ros,
-    )
-
-
 def _parse_seeds(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -216,63 +202,55 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig, list[int]]:
-    """Merge defaults, config file, and flags into one run setup."""
+def _pick(values: dict, keys: dict) -> dict:
+    return {k: v for k, v in values.items() if k in keys}
+
+
+def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
+    """Merge defaults, config file, and flags into the run setup (the
+    ``_SETUP_KEYS`` with the seed list resolved) and a pipeline config."""
     cfg = _load_config_file(getattr(args, "config", None))
 
-    def pick(flag: str | None, key: str, kind: type, default=None, nullable=False):
-        # a config entry is checked even when a flag overrides it
-        if key in cfg:
-            default = _typed(cfg[key], kind, key, nullable)
-        v = getattr(args, flag, None) if flag else None
-        return _typed(default if v is None else v, kind, key, nullable)
-
-    meta = {
-        "input": pick("input", "input", str, nullable=True),
-        "column": pick("column", "column", str, nullable=True),
-        "out": pick("out", "out", str, "."),
-        "workers": pick(None, "workers", int, 1),
-    }
-    if meta["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {meta['workers']}")
-
-    base = PipelineConfig(
-        model=pick("model", "model", str, "two_stage"),
-        test_horizon=pick("test_horizon", "test_horizon", int, 6),
-        tau=pick("tau", "tau", int, nullable=True),
-        m=pick("m", "m", int, nullable=True),
-        chaos=_chaos_opts(cfg.get("chaos")),
-        grid_step=pick(None, "grid_step", float, 0.01),
-        picp_target=pick(None, "picp_target", float, 0.95),
-        point_policy=pick(None, "point_policy", str, "min_smape"),
-        interval_policy=pick(None, "interval_policy", str, "max_picp"),
-        picp_threshold=pick(None, "picp_threshold", float, 0.95),
-        standardize=pick(None, "standardize", bool, False),
-    )
-    preset = pick(None, "preset", str, nullable=True)
-    if preset is not None:
-        base = pipeline.apply_preset(base, preset)
-    base = replace(
-        base,
-        stage2=_nsga_params(cfg.get("stage2"), "stage2", base.stage2),
-        stage3=_nsga_params(cfg.get("stage3"), "stage3", base.stage3),
+    # every entry is checked, also one that a flag or another key overrides
+    values = {}
+    for key, value in cfg.items():
+        if key in _BLOCKS:
+            values[key] = _block(value, key, _BLOCKS[key])
+        else:
+            kind, nullable = _CONFIG_KEYS[key]
+            values[key] = _typed(value, kind, key, nullable)
+    for seed in values.get("seeds", []):
+        _typed(seed, int, "seeds entry")
+    values.update(
+        (key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key, None) is not None
     )
 
-    # the seed entries are checked even when --seeds or "seeds" overrides them
-    seed_base = pick(None, "seed_base", int, 0)
-    seed_count = pick(None, "seed_count", int, 20)
-    if "seeds" in cfg:
-        seeds = [_typed(s, int, "seeds entry") for s in pick(None, "seeds", list)]
-    seeds_flag = getattr(args, "seeds", None)
-    if seeds_flag is not None:
-        seeds = _parse_seeds(seeds_flag)
-    elif "seeds" not in cfg:
-        if seed_count < 1:
+    setup = {key: values.get(key, default) for key, (_, _, default) in _SETUP_KEYS.items()}
+    if setup["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {setup['workers']}")
+    chaos = values.get("chaos", {})
+    config = PipelineConfig(
+        **_pick(values, _PIPELINE_KEYS),
+        chaos=AnalyzeOptions(
+            **_pick(chaos, _ANALYZE_KEYS),
+            rosenstein=RosensteinOptions(**_pick(chaos, _ROSENSTEIN_KEYS)),
+        ),
+    )
+    if setup["preset"] is not None:
+        config = pipeline.apply_preset(config, setup["preset"])
+    config = replace(
+        config,
+        stage2=replace(config.stage2, **values.get("stage2", {})),
+        stage3=replace(config.stage3, **values.get("stage3", {})),
+    )
+
+    if setup["seeds"] is None:
+        if setup["seed_count"] < 1:
             raise ConfigError("seed_count must be >= 1")
-        seeds = list(range(seed_base, seed_base + seed_count))
-    if not seeds:
+        setup["seeds"] = list(range(setup["seed_base"], setup["seed_base"] + setup["seed_count"]))
+    if not setup["seeds"]:
         raise ConfigError("seed list is empty")
-    return meta, base, seeds
+    return setup, config
 
 
 def _read_input(meta: dict) -> TimeSeries:
@@ -361,7 +339,7 @@ def _write_eaf(out: str, fronts: list[np.ndarray]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    meta, config, _ = _resolve(args)
+    meta, config = _resolve(args)
     series = _read_input(meta)
     report = analyze(series, pipeline._chaos_options(config))
     os.makedirs(meta["out"], exist_ok=True)
@@ -372,9 +350,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_intervals(args: argparse.Namespace) -> int:
-    meta, config, seeds = _resolve(args)
+    meta, config = _resolve(args)
     series = _read_input(meta)
-    config = replace(config, seed=seeds[0])
+    config = replace(config, seed=meta["seeds"][0])
     result, chaos = pipeline.run_model(series, config)
     os.makedirs(meta["out"], exist_ok=True)
     _write_json(os.path.join(meta["out"], "report.json"), _run_payload(result))
@@ -388,8 +366,9 @@ def cmd_intervals(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    meta, config, seeds = _resolve(args)
+    meta, config = _resolve(args)
     series = _read_input(meta)
+    seeds = meta["seeds"]
     report = pipeline.run_experiment(series, config, seeds, workers=meta["workers"])
     out = meta["out"]
     os.makedirs(out, exist_ok=True)
@@ -444,7 +423,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_eaf(args: argparse.Namespace) -> int:
-    meta, _, _ = _resolve(args)
+    meta, _ = _resolve(args)
     if not meta["input"]:
         raise ConfigError("--input must point at a directory of front CSVs")
     front_dir = meta["input"]
@@ -481,33 +460,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chaospi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    commands = {
+        "analyze": (cmd_analyze, "chaos diagnostics for a series"),
+        "intervals": (cmd_intervals, "one seeded interval-model run"),
+        "experiment": (cmd_experiment, "multi-seed run with aggregates and EAF"),
+        "eaf": (cmd_eaf, "recompute attainment surfaces from saved fronts"),
+    }
+    for name, (func, text) in commands.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--input", help="input CSV (value column, or date,value)")
         p.add_argument("--column", help="value column name for wide CSVs")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--model", choices=pipeline.MODEL_KINDS, help="model kind")
-        p.add_argument("--seeds", help="comma-separated seed list")
+        p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list")
         p.add_argument("--tau", type=int, help="force the embedding delay")
         p.add_argument("--m", type=int, help="force the embedding dimension")
         p.add_argument("--test-horizon", dest="test_horizon", type=int,
                        help="held-out observations at the end of the series")
         p.add_argument("--out", help="output directory (default: current)")
-
-    p_analyze = sub.add_parser("analyze", help="chaos diagnostics for a series")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_intervals = sub.add_parser("intervals", help="one seeded interval-model run")
-    common(p_intervals)
-    p_intervals.set_defaults(func=cmd_intervals)
-
-    p_exp = sub.add_parser("experiment", help="multi-seed run with aggregates and EAF")
-    common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_eaf = sub.add_parser("eaf", help="recompute attainment surfaces from saved fronts")
-    common(p_eaf)
-    p_eaf.set_defaults(func=cmd_eaf)
+        p.set_defaults(func=func)
     return parser
 
 

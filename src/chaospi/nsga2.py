@@ -104,7 +104,7 @@ class NsgaParams:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.mutation_prob_per_var is not None and not 0.0 <= self.mutation_prob_per_var <= 1.0:
             raise ConfigError("mutation_prob_per_var must lie in [0, 1]")
-        if self.crossover_eta <= 0 or self.mutation_eta <= 0:
+        if not (self.crossover_eta > 0 and self.mutation_eta > 0):  # NaN fails too
             raise ConfigError("distribution indices must be positive")
 
 

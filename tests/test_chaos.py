@@ -213,6 +213,9 @@ class TestAnalyze:
             analyze(s, AnalyzeOptions(tau=0))
         with pytest.raises(ConfigError):
             analyze(s, AnalyzeOptions(tau=1, m=0))
+        for max_dim in (0, -2):
+            with pytest.raises(ConfigError, match="cao_max_dim"):
+                analyze(TimeSeries(values=logistic_map(500)), AnalyzeOptions(cao_max_dim=max_dim))
 
 
 class TestBlockedNeighborSearch:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaospi import cli, pipeline
+from chaospi.chaos import AnalyzeOptions, RosensteinOptions
 from chaospi.errors import ConfigError
+from chaospi.nsga2 import NsgaParams
+from chaospi.pipeline import PipelineConfig
 from chaospi.series import TimeSeries, write_series
 from helpers import ar2_values, logistic_map
 
@@ -240,6 +244,71 @@ def test_removed_seed_key_names_its_replacements(tmp_path, series_csv, capsys):
     assert "'seed'" in err and "'seeds'" in err and "'seed_base'" in err
 
 
+@pytest.mark.parametrize("stage", ["stage2", "stage3"])
+def test_stage_block_seed_names_its_replacements(tmp_path, series_csv, capsys, stage):
+    # the run seeds each stage itself, so a block seed would be ignored
+    cfg = write_config(tmp_path, **{stage: {"pop_size": 16, "generations": 15, "seed": 5}})
+    rc = cli.main(["intervals", "--input", str(series_csv), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"'{stage}.seed'" in err and "'seeds'" in err and "'seed_base'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_distribution_index_exits_one(tmp_path, series_csv, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"stage2": {"crossover_eta": NaN}}')  # json.load accepts NaN
+    rc = cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                   "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "distribution indices must be positive" in capsys.readouterr().err
+
+
+def resolve(argv):
+    return cli._resolve(cli.build_parser().parse_args(argv))
+
+
+def test_resolve_defaults():
+    setup, config = resolve(["analyze"])
+    assert config == PipelineConfig()
+    assert setup == {"input": None, "column": None, "out": ".", "workers": 1, "preset": None,
+                     "seeds": list(range(20)), "seed_base": 0, "seed_count": 20}
+
+
+def test_resolve_carries_every_config_key(tmp_path):
+    stage2 = {"pop_size": 12, "generations": 7, "crossover_prob": 0.6, "crossover_eta": 11.0,
+              "mutation_prob": 0.7, "mutation_prob_per_var": 0.3, "mutation_eta": 13.0}
+    stage3 = {"pop_size": 14, "generations": 9, "crossover_prob": 0.5, "crossover_eta": 12.0,
+              "mutation_prob": 0.8, "mutation_prob_per_var": None, "mutation_eta": 14.0}
+    chaos = {"max_lag": 9, "cao_max_dim": 7, "cao_threshold": 0.07,
+             "theiler_window": 3, "k_max": 11, "fit_start": 1, "fit_stop": 5}
+    top = {"model": "three_stage_dual", "test_horizon": 4, "tau": 2, "m": 3, "grid_step": 0.02,
+           "picp_target": 0.9, "point_policy": "knee", "interval_policy": "min_piaw_above",
+           "picp_threshold": 0.85, "standardize": True}
+    setup = {"input": "in.csv", "column": "value", "out": "o", "workers": 2,
+             "preset": "cpi_headline", "seed_base": 5, "seed_count": 3}
+    assert set(stage2) == {f.name for f in fields(NsgaParams)} - {"seed"}
+    assert set(chaos) == ({f.name for f in fields(AnalyzeOptions)} - {"tau", "m", "rosenstein"}
+                          | {f.name for f in fields(RosensteinOptions)})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**top, **setup, "stage2": stage2, "stage3": stage3,
+                                "chaos": chaos}))
+
+    got_setup, config = resolve(["experiment", "--config", str(path)])
+    # the preset's blocks are overridden field by field, here all of them
+    assert config == PipelineConfig(
+        **top,
+        stage2=NsgaParams(**stage2),
+        stage3=NsgaParams(**stage3),
+        chaos=AnalyzeOptions(
+            max_lag=9, cao_max_dim=7, cao_threshold=0.07,
+            rosenstein=RosensteinOptions(theiler_window=3, k_max=11, fit_start=1, fit_stop=5),
+        ),
+    )
+    assert got_setup == {**setup, "seeds": [5, 6, 7]}
+
+
 # a flag or another key that overrides a mistyped entry does not excuse it
 @pytest.mark.parametrize(
     "config, flags",
@@ -377,14 +446,9 @@ _TYPED = {
     list: st.lists(st.integers(-3, 20), max_size=3),
 }
 _TOP_KINDS = {
-    **dict.fromkeys(["input", "column", "out", "model", "preset", "point_policy",
-                     "interval_policy"], str),
-    **dict.fromkeys(["test_horizon", "tau", "m", "seed_base", "seed_count", "workers"], int),
-    **dict.fromkeys(["grid_step", "picp_target", "picp_threshold"], float),
-    "standardize": bool,
-    "seeds": list,
+    **{k: kind for k, (kind, _) in cli._CONFIG_KEYS.items()},
     # the blocks as a whole take any value here; their keys are drawn below
-    **dict.fromkeys(["stage2", "stage3", "chaos"]),
+    **dict.fromkeys(cli._BLOCKS),
 }
 
 
@@ -407,9 +471,8 @@ _CONFIGS = st.tuples(
     st.fixed_dictionaries(
         {},
         optional={
-            "stage2": _entries({k: kind for k, (kind, _) in cli._NSGA_KEYS.items()}, 3),
-            "stage3": _entries({k: kind for k, (kind, _) in cli._NSGA_KEYS.items()}, 3),
-            "chaos": _entries({k: kind for k, (kind, _) in cli._CHAOS_KEYS.items()}, 3),
+            label: _entries({k: kind for k, (kind, _) in keys.items()}, 3)
+            for label, keys in cli._BLOCKS.items()
         },
     ),
 )

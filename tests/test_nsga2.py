@@ -194,6 +194,9 @@ def test_params_validation():
         NsgaParams(crossover_prob=1.5)
     with pytest.raises(ConfigError):
         NsgaParams(mutation_eta=0.0)
+    for name in ("crossover_eta", "mutation_eta"):
+        with pytest.raises(ConfigError, match="distribution indices"):
+            NsgaParams(**{name: float("nan")})
 
 
 def test_problem_validation():
