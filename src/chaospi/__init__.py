@@ -31,8 +31,6 @@ from .pipeline import (
     IntervalSeries,
     PipelineConfig,
     RunResult,
-    Stage2Solution,
-    Stage3Solution,
     ar_predict,
     fit_stage2,
     fit_stage3,

@@ -143,9 +143,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -446,8 +448,11 @@ def cmd_eaf(args: argparse.Namespace) -> int:
 
 
 def _read_front(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise EmptyFrontError(f"{path} is not UTF-8 text") from None
     if len(rows) < 2 or rows[0][:2] != ["f1", "f2"]:
         raise EmptyFrontError(f"{path} is not a front CSV (expected f1,f2 header)")
     try:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -53,8 +54,7 @@ from .series import TimeSeries
 # so clipping can never park a variable on an excluded endpoint.
 _BOUND_MARGIN = 1e-6
 
-# The grid search tabulates coverage for every (r1, r2) pair, (1/step)**2
-# cells; this floor keeps that table near 8 MB.
+# Bounds the grid search at 999 multipliers per side.
 _MIN_GRID_STEP = 0.001
 
 MODEL_KINDS = ("two_stage", "three_stage_single", "three_stage_dual")
@@ -80,15 +80,6 @@ class ArModel:
 
 
 @dataclass(frozen=True)
-class Stage2Solution:
-    """One non-dominated point model with its training objectives."""
-
-    model: ArModel
-    smape: float
-    ds: float
-
-
-@dataclass(frozen=True)
 class IntervalParams:
     """Interval geometry: bounds are ``point - r1*sigma`` and ``point + r2*sigma``."""
 
@@ -101,15 +92,6 @@ class IntervalParams:
             raise ConfigError("r1 and r2 must lie strictly inside (0, 1)")
         if not self.sigma >= 0.0:
             raise ConfigError("sigma must be non-negative")
-
-
-@dataclass(frozen=True)
-class Stage3Solution:
-    """One non-dominated width configuration with its training objectives."""
-
-    params: IntervalParams
-    picp: float
-    piaw: float
 
 
 @dataclass
@@ -134,6 +116,29 @@ class IntervalSeries:
             raise ConfigError("lower bounds must not exceed upper bounds")
 
 
+# NSGA-II blocks tuned for monthly CPI-style series (stage 2, then the
+# three-stage single-r and dual-r refinements).
+PRESETS: dict[str, dict[str, NsgaParams]] = {
+    "cpi_food_beverages": {
+        "stage2": NsgaParams(50, 300, 0.8, 15.0, 1.0, None, 20.0),
+        "stage3_single": NsgaParams(90, 300, 0.75, 15.0, 1.0, None, 20.0),
+        "stage3_dual": NsgaParams(70, 200, 0.75, 15.0, 1.0, None, 20.0),
+    },
+    "cpi_fuel_light": {
+        "stage2": NsgaParams(50, 100, 0.85, 15.0, 1.0, None, 20.0),
+        "stage3_single": NsgaParams(90, 350, 0.85, 15.0, 1.0, None, 20.0),
+        # population bumped 75 -> 76: the engine pairs parents, so it needs
+        # an even population
+        "stage3_dual": NsgaParams(76, 300, 0.8, 15.0, 1.0, None, 20.0),
+    },
+    "cpi_headline": {
+        "stage2": NsgaParams(50, 50, 0.95, 15.0, 1.0, None, 20.0),
+        "stage3_single": NsgaParams(90, 100, 0.95, 15.0, 1.0, None, 20.0),
+        "stage3_dual": NsgaParams(70, 400, 0.75, 15.0, 1.0, None, 20.0),
+    },
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything needed to run one model on one series."""
@@ -143,26 +148,8 @@ class PipelineConfig:
     tau: int | None = None
     m: int | None = None
     chaos: AnalyzeOptions = field(default_factory=AnalyzeOptions)
-    stage2: NsgaParams = field(
-        default_factory=lambda: NsgaParams(
-            pop_size=50,
-            generations=300,
-            crossover_prob=0.8,
-            crossover_eta=15.0,
-            mutation_prob=1.0,
-            mutation_eta=20.0,
-        )
-    )
-    stage3: NsgaParams = field(
-        default_factory=lambda: NsgaParams(
-            pop_size=90,
-            generations=300,
-            crossover_prob=0.75,
-            crossover_eta=15.0,
-            mutation_prob=1.0,
-            mutation_eta=20.0,
-        )
-    )
+    stage2: NsgaParams = PRESETS["cpi_food_beverages"]["stage2"]
+    stage3: NsgaParams = PRESETS["cpi_food_beverages"]["stage3_single"]
     grid_step: float = 0.01
     picp_target: float = 0.95
     point_policy: str = "min_smape"
@@ -228,29 +215,6 @@ class ExperimentReport:
     piaw_std: float
 
 
-# NSGA-II blocks tuned for monthly CPI-style series (stage 2, then the
-# three-stage single-r and dual-r refinements).
-PRESETS: dict[str, dict[str, NsgaParams]] = {
-    "cpi_food_beverages": {
-        "stage2": NsgaParams(50, 300, 0.8, 15.0, 1.0, None, 20.0),
-        "stage3_single": NsgaParams(90, 300, 0.75, 15.0, 1.0, None, 20.0),
-        "stage3_dual": NsgaParams(70, 200, 0.75, 15.0, 1.0, None, 20.0),
-    },
-    "cpi_fuel_light": {
-        "stage2": NsgaParams(50, 100, 0.85, 15.0, 1.0, None, 20.0),
-        "stage3_single": NsgaParams(90, 350, 0.85, 15.0, 1.0, None, 20.0),
-        # population bumped 75 -> 76: the engine pairs parents, so it needs
-        # an even population
-        "stage3_dual": NsgaParams(76, 300, 0.8, 15.0, 1.0, None, 20.0),
-    },
-    "cpi_headline": {
-        "stage2": NsgaParams(50, 50, 0.95, 15.0, 1.0, None, 20.0),
-        "stage3_single": NsgaParams(90, 100, 0.95, 15.0, 1.0, None, 20.0),
-        "stage3_dual": NsgaParams(70, 400, 0.75, 15.0, 1.0, None, 20.0),
-    },
-}
-
-
 def apply_preset(config: PipelineConfig, name: str) -> PipelineConfig:
     """Swap in the preset NSGA-II blocks matching ``config.model``."""
     if name not in PRESETS:
@@ -275,9 +239,13 @@ def fit_stage2(
     targets: np.ndarray,
     emb: EmbeddingParams,
     params: NsgaParams,
-) -> list[Stage2Solution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fit the autoregression front: minimize SMAPE, maximize directional
-    symmetry (internally minimized as its negative)."""
+    symmetry (internally minimized as its negative).
+
+    Returns front 0 as ``(X, F)``: one coefficient row (intercept first) and
+    one ``(smape, -ds)`` objective row per model.
+    """
     X = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or X.shape[1] != emb.m or y.shape != (X.shape[0],):
@@ -298,39 +266,49 @@ def fit_stage2(
         upper=np.full(emb.m + 1, bound),
         evaluate=evaluate,
     )
-    return [
-        Stage2Solution(model=ArModel(x, emb), smape=f[0], ds=-f[1])
-        for x, f in nsga_run(problem, params)
-    ]
+    return _front_arrays(nsga_run(problem, params))
 
 
-def select_point_model(front: list[Stage2Solution], policy: str = "min_smape") -> Stage2Solution:
-    """Pick one model from the stage-2 front.
+def _front_arrays(front: list) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's ``(x, f)`` pairs as decision rows and objective rows."""
+    return np.array([x for x, _ in front]), np.array([f for _, f in front])
+
+
+def _least(F: np.ndarray, col: int) -> int:
+    """Row least in column ``col``, then in the other column, then first."""
+    return int(np.lexsort((F[:, 1 - col], F[:, col]))[0])
+
+
+def _objective_rows(F: np.ndarray, stage: int) -> np.ndarray:
+    """``F`` as an (n, 2) float array; an empty front is an error."""
+    F = np.asarray(F, dtype=float).reshape(-1, 2)
+    if F.shape[0] == 0:
+        raise EmptyFrontError(f"stage-{stage} front is empty")
+    return F
+
+
+def select_point_model(F: np.ndarray, policy: str = "min_smape") -> int:
+    """Row of the stage-2 objectives ``F`` (``(smape, -ds)`` rows) to use.
 
     ``min_smape`` (default) prefers accuracy, breaking ties by higher DS and
     then position; ``max_ds`` is the mirror image; ``knee`` takes the point
-    farthest from the chord through the front's two extreme points, falling
-    back to ``min_smape`` when the front has fewer than three points.
+    farthest from the chord through the front's two extreme points (the
+    first such row), falling back to ``min_smape`` when the front has fewer
+    than three points.
     """
-    if not front:
-        raise EmptyFrontError("stage-2 front is empty")
+    F = _objective_rows(F, 2)
     if policy not in POINT_POLICIES:
         raise ConfigError(f"unknown point policy {policy!r}")
-    indexed = list(enumerate(front))
     if policy == "max_ds":
-        return min(indexed, key=lambda t: (-t[1].ds, t[1].smape, t[0]))[1]
-    if policy == "knee" and len(front) >= 3:
-        pts = np.array([(s.smape, -s.ds) for s in front])
-        a = min(indexed, key=lambda t: (pts[t[0], 0], pts[t[0], 1], t[0]))[0]
-        b = min(indexed, key=lambda t: (pts[t[0], 1], pts[t[0], 0], t[0]))[0]
-        chord = pts[b] - pts[a]
+        return _least(F, 1)
+    a = _least(F, 0)
+    if policy == "knee" and F.shape[0] >= 3:
+        chord = F[_least(F, 1)] - F[a]
         norm = float(np.hypot(chord[0], chord[1]))
         if norm > 0.0:
-            rel = pts - pts[a]
-            dists = np.abs(chord[0] * rel[:, 1] - chord[1] * rel[:, 0]) / norm
-            best = min(indexed, key=lambda t: (-dists[t[0]], t[0]))[0]
-            return front[best]
-    return min(indexed, key=lambda t: (t[1].smape, -t[1].ds, t[0]))[1]
+            rel = F - F[a]
+            return int(np.argmax(np.abs(chord[0] * rel[:, 1] - chord[1] * rel[:, 0]) / norm))
+    return a
 
 
 def pi_bounds(predictions: np.ndarray, params: IntervalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +324,15 @@ def grid_search_r(
     grid_step: float = 0.01,
     picp_target: float = 0.95,
 ) -> IntervalParams:
-    """Exhaustive search of (r1, r2) over the grid {step, 2*step, ..., 1-step}^2.
+    """The best (r1, r2) on the grid {step, 2*step, ..., 1-step}^2.
 
     Picks the smallest average width subject to training coverage reaching
     ``picp_target``; when no pair reaches it, maximizes coverage first. Ties
     always resolve to the lexicographically smallest (r1, r2).
+
+    Coverage is separable: a point below its forecast needs only r1, one
+    above only r2, and one on it is always covered. So each r1 needs just
+    the least r2 that reaches the coverage count sought.
     """
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
@@ -360,7 +342,7 @@ def grid_search_r(
         raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
     if not 0.0 < picp_target <= 1.0:
         raise ConfigError("picp_target must lie in (0, 1]")
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ConfigError("sigma must be non-negative")
 
     count = int(math.floor((1.0 - grid_step) / grid_step + 1e-9))
@@ -374,17 +356,19 @@ def grid_search_r(
         return IntervalParams(r1=float(rs[0]), r2=float(rs[0]), sigma=0.0)
 
     d = p - a
-    low_ok = d[:, None] <= rs[None, :] * sigma  # (n, k): r1 big enough below
-    high_ok = (-d)[:, None] <= rs[None, :] * sigma  # (n, k): r2 big enough above
-    covered = low_ok.astype(float).T @ high_ok.astype(float)  # (k, k) counts
-    picp_grid = covered / a.size
-
-    hit = np.argwhere(picp_grid >= picp_target)
-    if hit.size == 0:
-        best_cov = picp_grid.max()
-        hit = np.argwhere(picp_grid == best_cov)
-    best = min(hit.tolist(), key=lambda ij: (rs[ij[0]] + rs[ij[1]], rs[ij[0]], rs[ij[1]]))
-    return IntervalParams(r1=float(rs[best[0]]), r2=float(rs[best[1]]), sigma=float(sigma))
+    reach = rs * sigma
+    # points each multiplier covers on its side (NaN gaps are never covered)
+    low = np.searchsorted(np.sort(d[d > 0.0]), reach, side="right")
+    high = np.searchsorted(np.sort(-d[d < 0.0]), reach, side="right")
+    on = int(np.count_nonzero(d == 0.0))
+    # the least count meeting the target, or the most any pair covers
+    counts = np.arange(a.size + 1)
+    need = min(int(np.argmax(counts / a.size >= picp_target)), on + low[-1] + high[-1])
+    j2 = np.searchsorted(high, need - on - low, side="left")
+    j1 = np.flatnonzero(j2 < count)
+    j2 = j2[j1]
+    best = np.lexsort((rs[j2], rs[j1], rs[j1] + rs[j2]))[0]
+    return IntervalParams(r1=float(rs[j1[best]]), r2=float(rs[j2[best]]), sigma=float(sigma))
 
 
 def fit_stage3(
@@ -393,12 +377,14 @@ def fit_stage3(
     sigma: float,
     variant: str,
     params: NsgaParams,
-) -> list[Stage3Solution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Optimize interval width multipliers directly: maximize PICP (minimized
     as its negative) against PIAW on the training rows.
 
     ``variant`` is ``"single"`` (one shared r) or ``"dual"`` (separate
-    r1, r2); multipliers live strictly inside (0, 1).
+    r1, r2); multipliers live strictly inside (0, 1). Returns front 0 as
+    ``(X, F)``: one multiplier row (``r`` or ``r1, r2``) and one
+    ``(-picp, piaw)`` objective row per configuration.
     """
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
@@ -421,38 +407,30 @@ def fit_stage3(
         upper=np.full(n_vars, 1.0 - _BOUND_MARGIN),
         evaluate=evaluate,
     )
-    return [
-        Stage3Solution(
-            params=IntervalParams(r1=float(x[0]), r2=float(x[-1]), sigma=float(sigma)),
-            picp=-f[0],
-            piaw=f[1],
-        )
-        for x, f in nsga_run(problem, params)
-    ]
+    return _front_arrays(nsga_run(problem, params))
 
 
 def select_interval_params(
-    front: list[Stage3Solution],
+    F: np.ndarray,
     policy: str = "max_picp",
     picp_threshold: float = 0.95,
-) -> Stage3Solution:
-    """Pick one width configuration from the stage-3 front.
+) -> int:
+    """Row of the stage-3 objectives ``F`` (``(-picp, piaw)`` rows) to use.
 
     ``max_picp`` (default) takes the highest training coverage, tie-broken
-    by smaller width; ``min_piaw_above`` takes the narrowest configuration
-    whose coverage reaches ``picp_threshold``, falling back to ``max_picp``
-    when none does.
+    by smaller width and then position; ``min_piaw_above`` takes the
+    narrowest configuration whose coverage reaches ``picp_threshold``
+    (tie-broken by higher coverage), falling back to ``max_picp`` when none
+    does.
     """
-    if not front:
-        raise EmptyFrontError("stage-3 front is empty")
+    F = _objective_rows(F, 3)
     if policy not in INTERVAL_POLICIES:
         raise ConfigError(f"unknown interval policy {policy!r}")
-    indexed = list(enumerate(front))
     if policy == "min_piaw_above":
-        ok = [t for t in indexed if t[1].picp >= picp_threshold]
-        if ok:
-            return min(ok, key=lambda t: (t[1].piaw, -t[1].picp, t[0]))[1]
-    return min(indexed, key=lambda t: (-t[1].picp, t[1].piaw, t[0]))[1]
+        ok = np.flatnonzero(-F[:, 0] >= picp_threshold)
+        if ok.size:
+            return int(ok[_least(F[ok], 1)])
+    return _least(F, 0)
 
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
@@ -518,14 +496,13 @@ def _run_seeded(
         )
 
     s2_seed, s3_seed = _stage_seeds(seed)
-    front2 = fit_stage2(
+    X2, F2 = fit_stage2(
         data.inputs[:n_train],
         data.targets[:n_train],
         emb_params,
         replace(config.stage2, seed=s2_seed),
     )
-    chosen = select_point_model(front2, config.point_policy)
-    model = chosen.model
+    model = ArModel(X2[select_point_model(F2, config.point_policy)], emb_params)
 
     pred_all = ar_predict(model, data.inputs)
     if config.standardize:
@@ -540,16 +517,14 @@ def _run_seeded(
 
     if config.model == "two_stage":
         ip = grid_search_r(act_tr, pred_tr, sigma, config.grid_step, config.picp_target)
-        front = np.array([(s.smape, -s.ds) for s in front2])
-        front_objectives = ("smape", "neg_ds")
+        front, front_objectives = F2, ("smape", "neg_ds")
     else:
         variant = "single" if config.model == "three_stage_single" else "dual"
-        front3 = fit_stage3(
+        X3, front = fit_stage3(
             act_tr, pred_tr, sigma, variant, replace(config.stage3, seed=s3_seed)
         )
-        sel3 = select_interval_params(front3, config.interval_policy, config.picp_threshold)
-        ip = sel3.params
-        front = np.array([(-s.picp, s.piaw) for s in front3])
+        r = X3[select_interval_params(front, config.interval_policy, config.picp_threshold)]
+        ip = IntervalParams(r1=float(r[0]), r2=float(r[-1]), sigma=sigma)
         front_objectives = ("neg_picp", "piaw")
 
     idx_tr, idx_te = data.origin_indices[:n_train], data.origin_indices[n_train:]
@@ -607,6 +582,9 @@ def run_experiment(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if not seeds:
         raise ConfigError("need at least one seed")
+    repeated = [s for s, c in Counter(seeds).items() if c > 1]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} appears more than once in the seed list")
     chaos = analyze(series, _chaos_options(config))
     job = partial(_seed_outcome, series, config, chaos)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

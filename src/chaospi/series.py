@@ -82,8 +82,11 @@ def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSerie
     path = os.fspath(path)
     if not os.path.exists(path):
         raise MissingFileError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
     if not rows:
         raise EmptySeriesError(f"no data rows in {path}")
 

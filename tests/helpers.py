@@ -168,3 +168,25 @@ def henon_x(n, a=1.4, b=0.3, burn_in=100):
         x, y = 1.0 - a * x * x + y, b * x
         out[i] = x
     return out[burn_in:]
+
+
+def dense_grid_search(actual, predicted, sigma, grid_step, picp_target):
+    """(r1, r2) from a full coverage table over every grid pair.
+
+    The (1/step)^2-memory form of ``pipeline.grid_search_r`` for ``sigma > 0``
+    (no argument checks), kept as an oracle for the separable search.
+    """
+    a = np.asarray(actual, dtype=float)
+    p = np.asarray(predicted, dtype=float)
+    count = int(np.floor((1.0 - grid_step) / grid_step + 1e-9))
+    rs = grid_step * np.arange(1, count + 1)
+    d = p - a
+    low_ok = d[:, None] <= rs[None, :] * sigma  # (n, k): r1 big enough below
+    high_ok = (-d)[:, None] <= rs[None, :] * sigma  # (n, k): r2 big enough above
+    picp_grid = (low_ok.astype(float).T @ high_ok.astype(float)) / a.size
+    hit = np.argwhere(picp_grid >= picp_target)
+    if hit.size == 0:
+        hit = np.argwhere(picp_grid == picp_grid.max())
+    r1, r2 = rs[hit[:, 0]], rs[hit[:, 1]]
+    best = np.lexsort((r2, r1, r1 + r2))[0]  # least (r1 + r2, r1, r2)
+    return float(r1[best]), float(r2[best])

@@ -211,9 +211,9 @@ def test_criterion_06_stage3_vs_grid_oracle():
     start = time.perf_counter()
     params = NsgaParams(pop_size=90, generations=300, crossover_prob=0.75,
                         crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0, seed=11)
-    sols = fit_stage3(actual, point, sigma, "dual", params)
+    _, F = fit_stage3(actual, point, sigma, "dual", params)
     elapsed = time.perf_counter() - start
-    nsga_front = pareto_min([(-s.picp, s.piaw) for s in sols])
+    nsga_front = pareto_min(F.tolist())
 
     rs = 0.001 * np.arange(1, 1000)
     low_ok = (point[None, :] - rs[:, None] * sigma <= actual[None, :]).astype(float)

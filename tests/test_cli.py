@@ -328,6 +328,42 @@ def test_shadowed_mistyped_config_value_exits_one(tmp_path, series_csv, capsys, 
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, flags", [({}, ["--seeds", "3,3"]), ({"seeds": [3, 3]}, [])])
+def test_repeated_seeds_exit_one_and_write_nothing(tmp_path, series_csv, capsys, config, flags):
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    rc = cli.main(["experiment", "--input", str(series_csv), "--config", str(cfg),
+                   *flags, "--out", str(out)])
+    assert rc == 1
+    assert "seed 3 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config", "series", "front"])
+def test_non_utf8_input_exits_one(tmp_path, series_csv, case):
+    bad = tmp_path / "bad"
+    if case == "config":
+        bad = tmp_path / "config.json"
+        bad.write_bytes('{"tau": 1}'.encode("utf-16"))  # starts with ff fe
+        argv = ["analyze", "--input", str(series_csv), "--config", str(bad)]
+    elif case == "series":
+        bad = tmp_path / "series.csv"
+        bad.write_bytes(series_csv.read_bytes() + b"2014-999,\xff1.0\n")
+        argv = ["analyze", "--input", str(bad), "--tau", "1", "--m", "2"]
+    else:
+        (tmp_path / "fronts").mkdir()
+        bad = tmp_path / "fronts" / "seed_2.csv"
+        bad.write_bytes(b"\xff")
+        argv = ["eaf", "--input", str(tmp_path)]
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "chaospi.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert str(bad) in proc.stderr and "UTF-8" in proc.stderr
+    assert not out.exists()
+
+
 def test_domain_errors_exit_one(tmp_path, series_csv, capsys):
     assert cli.main(["analyze", "--input", str(tmp_path / "missing.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -28,8 +28,6 @@ from chaospi.pipeline import (
     ArModel,
     IntervalParams,
     PipelineConfig,
-    Stage2Solution,
-    Stage3Solution,
     apply_preset,
     ar_predict,
     fit_stage2,
@@ -42,7 +40,7 @@ from chaospi.pipeline import (
     select_point_model,
 )
 from chaospi.series import TimeSeries
-from helpers import ar2_values
+from helpers import ar2_values, dense_grid_search
 
 SMALL_STAGE2 = NsgaParams(pop_size=20, generations=25, crossover_prob=0.8,
                           crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
@@ -165,6 +163,25 @@ class TestGridSearch:
             assert got.r1 == pytest.approx(best[2])
             assert got.r2 == pytest.approx(best[3])
 
+    def test_matches_dense_coverage_table(self):
+        # tie-heavy cases: values on a 0.1 lattice, points on their forecast,
+        # far outliers that make a target of 1.0 unreachable, n = 1, and a
+        # few at the finest allowed step
+        rng = np.random.default_rng(2011)
+        steps = [0.01, 0.02, 0.05, 0.1, 0.13, 0.25, 0.3, 0.49]
+        for case in range(1200):
+            n = 1 if case % 10 == 0 else int(rng.integers(2, 250))
+            pred = np.round(rng.uniform(-1.0, 1.0, n), 1)
+            actual = pred + np.round(rng.normal(0.0, rng.choice([0.1, 0.5, 2.0]), n), 1)
+            actual[rng.random(n) < 0.2] += 40.0
+            on = rng.random(n) < 0.2
+            actual[on] = pred[on]
+            sigma = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+            step = 0.001 if case % 100 == 7 else float(rng.choice(steps))
+            target = float(rng.choice([0.5, 0.8, 0.9, 0.95, 1.0]))
+            got = grid_search_r(actual, pred, sigma, grid_step=step, picp_target=target)
+            assert (got.r1, got.r2) == dense_grid_search(actual, pred, sigma, step, target), case
+
     def test_perfect_predictions_take_smallest_corner(self):
         pred = np.array([1.0, 2.0, 3.0])
         got = grid_search_r(pred.copy(), pred, sigma=1.0, grid_step=0.01, picp_target=0.95)
@@ -191,7 +208,7 @@ class TestGridSearch:
             grid_search_r(a, np.zeros(2), 1.0)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, grid_step=0.5)
-        with pytest.raises(ConfigError):  # a (1/step)**2 table would not fit in memory
+        with pytest.raises(ConfigError):  # below the floor of 999 multipliers per side
             grid_search_r(a, a, 1.0, grid_step=1e-61)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, picp_target=0.0)
@@ -205,19 +222,19 @@ class TestStage2:
         self.data = reconstruct(series, EmbeddingParams(tau=1, m=2))
 
     def test_front_objectives_match_recomputation(self):
-        front = fit_stage2(self.data.inputs, self.data.targets,
-                           self.data.params, replace(SMALL_STAGE2, seed=4))
-        assert front
-        for sol in front:
-            pred = ar_predict(sol.model, self.data.inputs)
-            assert sol.smape == pytest.approx(smape(self.data.targets, pred), abs=1e-12)
-            assert sol.ds == pytest.approx(directional_symmetry(self.data.targets, pred), abs=1e-12)
-            assert np.all(np.abs(sol.model.coeffs) < 0.5)
+        X, F = fit_stage2(self.data.inputs, self.data.targets,
+                          self.data.params, replace(SMALL_STAGE2, seed=4))
+        assert len(F) and X.shape == (len(F), 3)
+        for x, f in zip(X, F):
+            pred = ar_predict(ArModel(x, self.data.params), self.data.inputs)
+            assert f[0] == pytest.approx(smape(self.data.targets, pred), abs=1e-12)
+            assert -f[1] == pytest.approx(directional_symmetry(self.data.targets, pred), abs=1e-12)
+            assert np.all(np.abs(x) < 0.5)
 
     def test_front_is_mutually_nondominated(self):
-        front = fit_stage2(self.data.inputs, self.data.targets,
-                           self.data.params, replace(SMALL_STAGE2, seed=4))
-        objs = [(s.smape, -s.ds) for s in front]
+        _, F = fit_stage2(self.data.inputs, self.data.targets,
+                          self.data.params, replace(SMALL_STAGE2, seed=4))
+        objs = [tuple(f) for f in F]
         for a in objs:
             assert not any(
                 b[0] <= a[0] and b[1] <= a[1] and b != a for b in objs
@@ -273,35 +290,30 @@ def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(monkeypa
 
 
 class TestPointSelection:
+    # (smape, -ds) rows
     def front(self):
-        sols = []
-        for smape_v, ds_v in [(2.0, 90.0), (10.0, 98.0), (3.0, 96.5)]:
-            sols.append(Stage2Solution(model=dummy_model(), smape=smape_v, ds=ds_v))
-        return sols
+        return np.array([(2.0, -90.0), (10.0, -98.0), (3.0, -96.5)])
 
     def test_min_smape(self):
-        assert select_point_model(self.front()).smape == 2.0
+        assert self.front()[select_point_model(self.front()), 0] == 2.0
 
     def test_min_smape_tie_prefers_higher_ds(self):
-        sols = [
-            Stage2Solution(model=dummy_model(), smape=5.0, ds=60.0),
-            Stage2Solution(model=dummy_model(), smape=5.0, ds=70.0),
-        ]
-        assert select_point_model(sols, "min_smape").ds == 70.0
+        F = np.array([(5.0, -60.0), (5.0, -70.0)])
+        assert F[select_point_model(F, "min_smape"), 1] == -70.0
 
     def test_max_ds(self):
-        assert select_point_model(self.front(), "max_ds").ds == 98.0
+        assert self.front()[select_point_model(self.front(), "max_ds"), 1] == -98.0
 
     def test_knee_picks_farthest_from_chord(self):
-        assert select_point_model(self.front(), "knee").smape == 3.0
+        assert self.front()[select_point_model(self.front(), "knee"), 0] == 3.0
 
     def test_knee_falls_back_below_three_points(self):
-        sols = self.front()[:2]
-        assert select_point_model(sols, "knee").smape == 2.0
+        F = self.front()[:2]
+        assert F[select_point_model(F, "knee"), 0] == 2.0
 
     def test_errors(self):
         with pytest.raises(EmptyFrontError):
-            select_point_model([])
+            select_point_model(np.empty((0, 2)))
         with pytest.raises(ConfigError):
             select_point_model(self.front(), "best")
 
@@ -314,19 +326,19 @@ class TestStage3:
         self.sigma = 0.5
 
     def test_objectives_match_recomputation(self):
-        front = fit_stage3(self.actual, self.pred, self.sigma, "dual",
-                           replace(SMALL_STAGE3, seed=2))
-        assert front
-        for sol in front:
-            lower, upper = pi_bounds(self.pred, sol.params)
-            assert sol.picp == pytest.approx(picp(self.actual, lower, upper), abs=1e-12)
-            assert sol.piaw == pytest.approx(piaw(lower, upper), abs=1e-12)
-            assert sol.piaw == pytest.approx((sol.params.r1 + sol.params.r2) * self.sigma, abs=1e-12)
+        X, F = fit_stage3(self.actual, self.pred, self.sigma, "dual",
+                          replace(SMALL_STAGE3, seed=2))
+        assert len(F) and X.shape == (len(F), 2)
+        for (r1, r2), (neg_picp, width) in zip(X, F):
+            lower, upper = pi_bounds(self.pred, IntervalParams(r1, r2, self.sigma))
+            assert -neg_picp == pytest.approx(picp(self.actual, lower, upper), abs=1e-12)
+            assert width == pytest.approx(piaw(lower, upper), abs=1e-12)
+            assert width == pytest.approx((r1 + r2) * self.sigma, abs=1e-12)
 
     def test_single_variant_shares_one_multiplier(self):
-        front = fit_stage3(self.actual, self.pred, self.sigma, "single",
-                           replace(SMALL_STAGE3, seed=2))
-        assert all(sol.params.r1 == sol.params.r2 for sol in front)
+        X, F = fit_stage3(self.actual, self.pred, self.sigma, "single",
+                          replace(SMALL_STAGE3, seed=2))
+        assert X.shape == (len(F), 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -338,34 +350,28 @@ class TestStage3:
 
 
 class TestIntervalSelection:
+    # (-picp, piaw) rows
     def front(self):
-        rows = [(1.0, 5.0), (0.9, 2.0), (0.96, 3.0)]
-        return [
-            Stage3Solution(params=IntervalParams(0.4, 0.4, 1.0), picp=c, piaw=w)
-            for c, w in rows
-        ]
+        return np.array([(-1.0, 5.0), (-0.9, 2.0), (-0.96, 3.0)])
 
     def test_max_picp(self):
-        assert select_interval_params(self.front()).piaw == 5.0
+        assert self.front()[select_interval_params(self.front()), 1] == 5.0
 
     def test_max_picp_tie_prefers_narrow(self):
-        sols = [
-            Stage3Solution(params=IntervalParams(0.4, 0.4, 1.0), picp=1.0, piaw=4.0),
-            Stage3Solution(params=IntervalParams(0.3, 0.3, 1.0), picp=1.0, piaw=3.0),
-        ]
-        assert select_interval_params(sols).piaw == 3.0
+        F = np.array([(-1.0, 4.0), (-1.0, 3.0)])
+        assert F[select_interval_params(F), 1] == 3.0
 
     def test_min_piaw_above_threshold(self):
         got = select_interval_params(self.front(), "min_piaw_above", picp_threshold=0.95)
-        assert (got.picp, got.piaw) == (0.96, 3.0)
+        assert tuple(self.front()[got]) == (-0.96, 3.0)
 
     def test_min_piaw_above_falls_back_to_max_picp(self):
         got = select_interval_params(self.front(), "min_piaw_above", picp_threshold=0.999)
-        assert got.picp == 1.0
+        assert self.front()[got, 0] == -1.0
 
     def test_errors(self):
         with pytest.raises(EmptyFrontError):
-            select_interval_params([])
+            select_interval_params(np.empty((0, 2)))
         with pytest.raises(ConfigError):
             select_interval_params(self.front(), "widest")
 
@@ -514,6 +520,10 @@ class TestExperiment:
     def test_seed_list_must_not_be_empty(self):
         with pytest.raises(ConfigError):
             run_experiment(self.series, self.config, [])
+
+    def test_repeated_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match="seed 3 appears more than once"):
+            run_experiment(self.series, self.config, [1, 3, 2, 3])
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
     def test_workers_must_be_a_positive_integer(self, workers):
