@@ -12,8 +12,9 @@ Subcommands:
 * ``eaf`` -- recompute attainment surfaces from previously saved front CSVs.
 
 The JSON config takes the scalar fields of the config dataclasses, which own
-every default, plus the run-setup keys in ``_SETUP_KEYS``; a flag overrides
-the key its ``dest`` names.
+every default, plus the run-setup keys in ``_SETUP_KEYS``; the top-level
+``tau``/``m`` set the chaos analysis' embedding. A flag overrides the key its
+``dest`` names.
 
 Exit codes: 0 on success, 1 on any domain or configuration error, 2 on an
 operating-system I/O failure. Outputs are plain JSON/CSV written with
@@ -49,23 +50,23 @@ _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
                str: "a string", list: "a list"}
 
 
-def _fields(cls: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, bool]]:
+def _fields(cls: type) -> dict[str, tuple[type, bool]]:
     """(JSON kind, may be null) of each scalar field of a config dataclass,
     read from its annotation text (the config modules postpone annotations);
-    nested option blocks and the fields in ``skip`` are left out."""
+    nested option blocks are left out."""
     table = {}
     for f in fields(cls):
         kind, *rest = str(f.type).split(" | ")
-        if kind in _SCALARS and f.name not in skip:
+        if kind in _SCALARS:
             table[f.name] = (_SCALARS[kind], rest == ["None"])
     return table
 
 
-# The seeds come from the run setup, so neither the top level nor a stage
-# block takes a "seed"; the chaos block's tau/m are the top-level ones.
-_PIPELINE_KEYS = _fields(PipelineConfig, skip=("seed",))
-_NSGA_KEYS = _fields(NsgaParams, skip=("seed",))
-_ANALYZE_KEYS = _fields(AnalyzeOptions, skip=("tau", "m"))
+_PIPELINE_KEYS = _fields(PipelineConfig)
+_NSGA_KEYS = _fields(NsgaParams)
+# the embedding is set by the top-level tau/m (or --tau/--m), not in the chaos block
+_ANALYZE_KEYS = _fields(AnalyzeOptions)
+_EMBED_KEYS = {key: _ANALYZE_KEYS.pop(key) for key in ("tau", "m")}
 _ROSENSTEIN_KEYS = _fields(RosensteinOptions)
 _BLOCKS = {"stage2": _NSGA_KEYS, "stage3": _NSGA_KEYS,
            "chaos": {**_ANALYZE_KEYS, **_ROSENSTEIN_KEYS}}
@@ -81,7 +82,7 @@ _SETUP_KEYS = {
     "seed_count": (int, False, 20),
 }
 # Every top-level key apart from the blocks: (kind, may be null).
-_CONFIG_KEYS = {**_PIPELINE_KEYS, **{k: v[:2] for k, v in _SETUP_KEYS.items()}}
+_CONFIG_KEYS = {**_PIPELINE_KEYS, **_EMBED_KEYS, **{k: v[:2] for k, v in _SETUP_KEYS.items()}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +144,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except UnicodeDecodeError:
@@ -234,6 +235,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     config = PipelineConfig(
         **_pick(values, _PIPELINE_KEYS),
         chaos=AnalyzeOptions(
+            **_pick(values, _EMBED_KEYS),
             **_pick(chaos, _ANALYZE_KEYS),
             rosenstein=RosensteinOptions(**_pick(chaos, _ROSENSTEIN_KEYS)),
         ),
@@ -343,7 +345,7 @@ def _write_eaf(out: str, fronts: list[np.ndarray]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     meta, config = _resolve(args)
     series = _read_input(meta)
-    report = analyze(series, pipeline._chaos_options(config))
+    report = analyze(series, config.chaos)
     os.makedirs(meta["out"], exist_ok=True)
     _write_chaos(meta["out"], report)
     flag = "chaotic" if report.chaotic else "not chaotic"
@@ -354,8 +356,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_intervals(args: argparse.Namespace) -> int:
     meta, config = _resolve(args)
     series = _read_input(meta)
-    config = replace(config, seed=meta["seeds"][0])
-    result, chaos = pipeline.run_model(series, config)
+    result, chaos = pipeline.run_model(series, config, meta["seeds"][0])
     os.makedirs(meta["out"], exist_ok=True)
     _write_json(os.path.join(meta["out"], "report.json"), _run_payload(result))
     _write_intervals_csv(meta["out"], result)
@@ -449,7 +450,7 @@ def cmd_eaf(args: argparse.Namespace) -> int:
 
 def _read_front(path: str) -> np.ndarray:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError:
         raise EmptyFrontError(f"{path} is not UTF-8 text") from None

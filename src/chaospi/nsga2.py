@@ -6,7 +6,7 @@ selection under the crowded comparison operator, simulated binary crossover
 (SBX), polynomial mutation, and (mu + lambda) elitist replacement.
 
 The population is held as arrays: decision vectors ``X`` of shape
-``(pop, n_vars)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
+``(pop, d)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
 crowding distance as per-row arrays alongside. A generation is a handful of
 array operations: all tournaments in one draw, SBX over all pairs, mutation
 over all children, one batched evaluation, and survivor selection by row
@@ -46,16 +46,16 @@ _SBX_EPS = 1e-14
 
 @dataclass(frozen=True)
 class Problem:
-    """A bi-objective minimization problem over a box.
+    """A bi-objective minimization problem over the box ``[lower, upper]``.
 
-    ``evaluate`` maps a ``(k, n_vars)`` batch of decision vectors to a
-    ``(k, 2)`` array of their objective values (any other shape raises
-    ``DimensionMismatchError``). Each row's values must depend on that row
+    The bounds are matching, non-empty 1-D arrays; their length is the
+    number of decision variables ``d``. ``evaluate`` maps a ``(k, d)`` batch
+    of decision vectors to a ``(k, 2)`` array of their objective values (any
+    other shape raises ``DimensionMismatchError``). Each row's values must depend on that row
     alone (the engine reuses the values of an unchanged vector); any
     exception it raises aborts the run and propagates unchanged.
     """
 
-    n_vars: int
     lower: np.ndarray
     upper: np.ndarray
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -65,10 +65,8 @@ class Problem:
         upper = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if self.n_vars < 1:
-            raise ConfigError("n_vars must be >= 1")
-        if lower.shape != (self.n_vars,) or upper.shape != (self.n_vars,):
-            raise ConfigError("bounds must have shape (n_vars,)")
+        if lower.ndim != 1 or lower.size == 0 or upper.shape != lower.shape:
+            raise ConfigError("bounds must be matching, non-empty 1-D arrays")
         if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):
             raise ConfigError("bounds must be finite")
         if not np.all(lower < upper):
@@ -81,7 +79,8 @@ class NsgaParams:
 
     ``mutation_prob`` gates mutation per individual; ``mutation_prob_per_var``
     is the per-variable rate inside a mutated individual and defaults to
-    1/n_vars when left as None.
+    one over the number of variables when left as None. The seed is passed
+    to :func:`run`.
     """
 
     pop_size: int = 50
@@ -91,7 +90,6 @@ class NsgaParams:
     mutation_prob: float = 1.0
     mutation_prob_per_var: float | None = None
     mutation_eta: float = 20.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.pop_size < 4 or self.pop_size % 2 != 0:
@@ -288,19 +286,21 @@ def _select_next(
 def run(
     problem: Problem,
     params: NsgaParams,
+    seed: int = 0,
     on_generation: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[tuple[np.ndarray, tuple[float, float]]]:
-    """Run the full loop and return front 0 of the final population as
-    ``(x, f)`` pairs in population order; each ``x`` is a fresh array.
+    """Run the full loop from a PCG64 generator seeded with ``seed`` and
+    return front 0 of the final population as ``(x, f)`` pairs in population
+    order; each ``x`` is a fresh array.
 
     ``on_generation`` fires after each survivor selection (and once for the
     evaluated initial population) with the generation number and the
     ``(pop, 2)`` objective array; mutating it is a caller bug.
     """
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     lower, upper = problem.lower, problem.upper
 
-    X = rng.uniform(lower, upper, size=(params.pop_size, problem.n_vars))
+    X = rng.uniform(lower, upper, size=(params.pop_size, lower.size))
     F = _evaluate(problem, X)
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):

@@ -2,9 +2,9 @@
 
 Two model families share the same first two steps:
 
-1. Embed the series (delay ``tau``, dimension ``m``, usually from the chaos
-   diagnostics) into lagged input/target rows and hold out the last
-   ``test_horizon`` targets.
+1. Embed the series (delay ``tau``, dimension ``m``, chosen by the chaos
+   diagnostics or forced through ``config.chaos``) into lagged input/target
+   rows and hold out the last ``test_horizon`` targets.
 2. Fit a linear autoregression ``y = a0 + a1*y[t-tau] + ... + am*y[t-m*tau]``
    with NSGA-II, minimizing SMAPE and maximizing directional symmetry over
    the training rows; coefficients live in (-0.5, 0.5).
@@ -141,12 +141,15 @@ PRESETS: dict[str, dict[str, NsgaParams]] = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to run one model on one series."""
+    """Everything needed to run one model on one series, apart from the
+    seed, which is an argument of each run.
+
+    ``picp_target`` is the training coverage sought by both the two-stage
+    grid search and the ``min_piaw_above`` interval policy.
+    """
 
     model: str = "two_stage"
     test_horizon: int = 6
-    tau: int | None = None
-    m: int | None = None
     chaos: AnalyzeOptions = field(default_factory=AnalyzeOptions)
     stage2: NsgaParams = PRESETS["cpi_food_beverages"]["stage2"]
     stage3: NsgaParams = PRESETS["cpi_food_beverages"]["stage3_single"]
@@ -154,9 +157,7 @@ class PipelineConfig:
     picp_target: float = 0.95
     point_policy: str = "min_smape"
     interval_policy: str = "max_picp"
-    picp_threshold: float = 0.95
     standardize: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -171,8 +172,6 @@ class PipelineConfig:
             raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
         if not 0.0 < self.picp_target <= 1.0:
             raise ConfigError("picp_target must lie in (0, 1]")
-        if not 0.0 < self.picp_threshold <= 1.0:
-            raise ConfigError("picp_threshold must lie in (0, 1]")
 
 
 @dataclass
@@ -239,9 +238,11 @@ def fit_stage2(
     targets: np.ndarray,
     emb: EmbeddingParams,
     params: NsgaParams,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit the autoregression front: minimize SMAPE, maximize directional
-    symmetry (internally minimized as its negative).
+    """Fit the autoregression front with NSGA-II run from ``seed``: minimize
+    SMAPE, maximize directional symmetry (internally minimized as its
+    negative).
 
     Returns front 0 as ``(X, F)``: one coefficient row (intercept first) and
     one ``(smape, -ds)`` objective row per model.
@@ -261,12 +262,11 @@ def fit_stage2(
 
     bound = 0.5 - _BOUND_MARGIN
     problem = Problem(
-        n_vars=emb.m + 1,
         lower=np.full(emb.m + 1, -bound),
         upper=np.full(emb.m + 1, bound),
         evaluate=evaluate,
     )
-    return _front_arrays(nsga_run(problem, params))
+    return _front_arrays(nsga_run(problem, params, seed))
 
 
 def _front_arrays(front: list) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +377,11 @@ def fit_stage3(
     sigma: float,
     variant: str,
     params: NsgaParams,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimize interval width multipliers directly: maximize PICP (minimized
-    as its negative) against PIAW on the training rows.
+    """Optimize interval width multipliers directly with NSGA-II run from
+    ``seed``: maximize PICP (minimized as its negative) against PIAW on the
+    training rows.
 
     ``variant`` is ``"single"`` (one shared r) or ``"dual"`` (separate
     r1, r2); multipliers live strictly inside (0, 1). Returns front 0 as
@@ -392,7 +394,7 @@ def fit_stage3(
         raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
     if variant not in ("single", "dual"):
         raise ConfigError(f"variant must be 'single' or 'dual', got {variant!r}")
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ConfigError("sigma must be non-negative")
     n_vars = 1 if variant == "single" else 2
 
@@ -402,24 +404,23 @@ def fit_stage3(
         return np.column_stack([-metrics.picp(a, lower, upper), metrics.piaw(lower, upper)])
 
     problem = Problem(
-        n_vars=n_vars,
         lower=np.full(n_vars, _BOUND_MARGIN),
         upper=np.full(n_vars, 1.0 - _BOUND_MARGIN),
         evaluate=evaluate,
     )
-    return _front_arrays(nsga_run(problem, params))
+    return _front_arrays(nsga_run(problem, params, seed))
 
 
 def select_interval_params(
     F: np.ndarray,
     policy: str = "max_picp",
-    picp_threshold: float = 0.95,
+    picp_target: float = 0.95,
 ) -> int:
     """Row of the stage-3 objectives ``F`` (``(-picp, piaw)`` rows) to use.
 
     ``max_picp`` (default) takes the highest training coverage, tie-broken
     by smaller width and then position; ``min_piaw_above`` takes the
-    narrowest configuration whose coverage reaches ``picp_threshold``
+    narrowest configuration whose coverage reaches ``picp_target``
     (tie-broken by higher coverage), falling back to ``max_picp`` when none
     does.
     """
@@ -427,7 +428,7 @@ def select_interval_params(
     if policy not in INTERVAL_POLICIES:
         raise ConfigError(f"unknown interval policy {policy!r}")
     if policy == "min_piaw_above":
-        ok = np.flatnonzero(-F[:, 0] >= picp_threshold)
+        ok = np.flatnonzero(-F[:, 0] >= picp_target)
         if ok.size:
             return int(ok[_least(F[ok], 1)])
     return _least(F, 0)
@@ -439,15 +440,6 @@ def _stage_seeds(seed: int) -> tuple[int, int]:
         raise ConfigError(f"run seeds must be non-negative, got {seed}")
     children = np.random.SeedSequence(seed).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
-
-
-def _chaos_options(config: PipelineConfig) -> AnalyzeOptions:
-    opts = config.chaos
-    if config.tau is not None:
-        opts = replace(opts, tau=config.tau)
-    if config.m is not None:
-        opts = replace(opts, m=config.m)
-    return opts
 
 
 def _interval_series(pred, actual, indices, labels, ip: IntervalParams) -> IntervalSeries:
@@ -497,10 +489,7 @@ def _run_seeded(
 
     s2_seed, s3_seed = _stage_seeds(seed)
     X2, F2 = fit_stage2(
-        data.inputs[:n_train],
-        data.targets[:n_train],
-        emb_params,
-        replace(config.stage2, seed=s2_seed),
+        data.inputs[:n_train], data.targets[:n_train], emb_params, config.stage2, s2_seed
     )
     model = ArModel(X2[select_point_model(F2, config.point_policy)], emb_params)
 
@@ -520,10 +509,8 @@ def _run_seeded(
         front, front_objectives = F2, ("smape", "neg_ds")
     else:
         variant = "single" if config.model == "three_stage_single" else "dual"
-        X3, front = fit_stage3(
-            act_tr, pred_tr, sigma, variant, replace(config.stage3, seed=s3_seed)
-        )
-        r = X3[select_interval_params(front, config.interval_policy, config.picp_threshold)]
+        X3, front = fit_stage3(act_tr, pred_tr, sigma, variant, config.stage3, s3_seed)
+        r = X3[select_interval_params(front, config.interval_policy, config.picp_target)]
         ip = IntervalParams(r1=float(r[0]), r2=float(r[-1]), sigma=sigma)
         front_objectives = ("neg_picp", "piaw")
 
@@ -548,11 +535,13 @@ def _run_seeded(
     )
 
 
-def run_model(series: TimeSeries, config: PipelineConfig) -> tuple[RunResult, ChaosReport]:
-    """Run ``config.model`` once with ``config.seed``; also hand back the
+def run_model(
+    series: TimeSeries, config: PipelineConfig, seed: int = 0
+) -> tuple[RunResult, ChaosReport]:
+    """Run ``config.model`` once with run seed ``seed``; also hand back the
     chaos report so callers can serialize its curves."""
-    chaos = analyze(series, _chaos_options(config))
-    return _run_seeded(series, config, chaos, config.seed), chaos
+    chaos = analyze(series, config.chaos)
+    return _run_seeded(series, config, chaos, seed), chaos
 
 
 def _seed_outcome(series, config, chaos, seed: int) -> RunResult | Exception:
@@ -585,7 +574,7 @@ def run_experiment(
     repeated = [s for s, c in Counter(seeds).items() if c > 1]
     if repeated:
         raise ConfigError(f"seed {repeated[0]} appears more than once in the seed list")
-    chaos = analyze(series, _chaos_options(config))
+    chaos = analyze(series, config.chaos)
     job = partial(_seed_outcome, series, config, chaos)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(seeds), cpus or 1)

@@ -83,7 +83,7 @@ def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSerie
     if not os.path.exists(path):
         raise MissingFileError(f"no such file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None

@@ -107,16 +107,16 @@ def zdt1_problem(n_vars=30):
         g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (n_vars - 1)
         return np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
 
-    return Problem(n_vars=n_vars, lower=np.zeros(n_vars), upper=np.ones(n_vars), evaluate=evaluate)
+    return Problem(lower=np.zeros(n_vars), upper=np.ones(n_vars), evaluate=evaluate)
 
 
 @pytest.fixture(scope="module")
 def zdt1_run():
     snapshots = []
     params = NsgaParams(pop_size=50, generations=250, crossover_prob=0.9,
-                        crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0, seed=42)
+                        crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
     start = time.perf_counter()
-    front = nsga_run(zdt1_problem(), params,
+    front = nsga_run(zdt1_problem(), params, seed=42,
                      on_generation=lambda g, F: snapshots.append(
                          F[nondominated_fronts(F)[0]]))
     elapsed = time.perf_counter() - start
@@ -210,8 +210,8 @@ def test_criterion_06_stage3_vs_grid_oracle():
 
     start = time.perf_counter()
     params = NsgaParams(pop_size=90, generations=300, crossover_prob=0.75,
-                        crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0, seed=11)
-    _, F = fit_stage3(actual, point, sigma, "dual", params)
+                        crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
+    _, F = fit_stage3(actual, point, sigma, "dual", params, seed=11)
     elapsed = time.perf_counter() - start
     nsga_front = pareto_min(F.tolist())
 
@@ -236,12 +236,13 @@ def test_criterion_06_stage3_vs_grid_oracle():
 def synthetic_experiments():
     series = TimeSeries(values=ar2_values(n=200, seed=2024))
     seeds = list(range(20))
+    embedding = AnalyzeOptions(tau=1, m=2)
     two = run_experiment(
-        series, PipelineConfig(model="two_stage", test_horizon=20, tau=1, m=2),
+        series, PipelineConfig(model="two_stage", test_horizon=20, chaos=embedding),
         seeds, workers=4,
     )
     three = run_experiment(
-        series, PipelineConfig(model="three_stage_single", test_horizon=20, tau=1, m=2),
+        series, PipelineConfig(model="three_stage_single", test_horizon=20, chaos=embedding),
         seeds, workers=4,
     )
     return two, three
@@ -295,17 +296,18 @@ def test_criterion_08_cpi_soft_targets():
         for have, want in zip((got.mean, got.std_dev, got.maximum, got.minimum), stats):
             assert abs(have - want) <= 0.05, f"{stem} does not match the documented statistics"
 
-        report = analyze(series, AnalyzeOptions(tau=1, m=dim))
+        embedding = AnalyzeOptions(tau=1, m=dim)
+        report = analyze(series, embedding)
         ok &= abs(report.lyapunov - lam) <= 0.05
 
         cfg = apply_preset(
-            PipelineConfig(model="two_stage", test_horizon=6, tau=1, m=dim), preset
+            PipelineConfig(model="two_stage", test_horizon=6, chaos=embedding), preset
         )
         two = run_experiment(series, cfg, seeds, workers=4)
         ok &= abs(two.picp_mean - t_picp) <= 0.15 and abs(two.piaw_mean - t_piaw) <= 0.6
 
         cfg3 = apply_preset(
-            PipelineConfig(model="three_stage_single", test_horizon=6, tau=1, m=dim), preset
+            PipelineConfig(model="three_stage_single", test_horizon=6, chaos=embedding), preset
         )
         three = run_experiment(series, cfg3, seeds, workers=4)
         ok &= abs(three.picp_mean - 1.00) <= 0.05
@@ -330,7 +332,7 @@ def read_tree(root):
 def test_criterion_09_determinism(tmp_path):
     series = TimeSeries(values=ar2_values(n=90, seed=31))
     config = PipelineConfig(
-        model="three_stage_single", test_horizon=5, tau=1, m=2,
+        model="three_stage_single", test_horizon=5, chaos=AnalyzeOptions(tau=1, m=2),
         stage2=NsgaParams(pop_size=16, generations=20),
         stage3=NsgaParams(pop_size=16, generations=20),
     )

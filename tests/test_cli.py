@@ -109,6 +109,23 @@ def test_intervals_runs_and_reruns_identically(tmp_path, series_csv):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_intervals_matches_the_experiment_run_of_its_seed(tmp_path, series_csv):
+    # both entry points hand the run seed to the same seeded run
+    cfg = write_config(tmp_path, model="three_stage_dual")
+    common = ["--input", str(series_csv), "--config", str(cfg)]
+    exp = tmp_path / "exp"
+    assert cli.main(["experiment", *common, "--seeds", "3,8", "--out", str(exp)]) == 0
+    per_seed = json.loads((exp / "report.json").read_text())["per_seed"]
+    assert per_seed[0]["coeffs"] != per_seed[1]["coeffs"]
+    for entry in per_seed:
+        out = tmp_path / f"seed_{entry['seed']}"
+        assert cli.main(["intervals", *common, "--seeds", str(entry["seed"]), "--out", str(out)]) == 0
+        run = json.loads((out / "report.json").read_text())
+        for key in ("coeffs", "r1", "r2", "sigma"):
+            assert run[key] == entry[key]
+        assert (run["test"]["picp"], run["test"]["piaw"]) == (entry["picp"], entry["piaw"])
+
+
 def test_intervals_two_stage_has_no_single_r_alias(tmp_path, series_csv):
     out = tmp_path / "out"
     cfg = write_config(tmp_path)
@@ -276,24 +293,26 @@ def test_resolve_defaults():
                      "seeds": list(range(20)), "seed_base": 0, "seed_count": 20}
 
 
-def test_resolve_carries_every_config_key(tmp_path):
+def test_resolve_carries_every_config_key(tmp_path, capsys):
     stage2 = {"pop_size": 12, "generations": 7, "crossover_prob": 0.6, "crossover_eta": 11.0,
               "mutation_prob": 0.7, "mutation_prob_per_var": 0.3, "mutation_eta": 13.0}
     stage3 = {"pop_size": 14, "generations": 9, "crossover_prob": 0.5, "crossover_eta": 12.0,
               "mutation_prob": 0.8, "mutation_prob_per_var": None, "mutation_eta": 14.0}
     chaos = {"max_lag": 9, "cao_max_dim": 7, "cao_threshold": 0.07,
              "theiler_window": 3, "k_max": 11, "fit_start": 1, "fit_stop": 5}
-    top = {"model": "three_stage_dual", "test_horizon": 4, "tau": 2, "m": 3, "grid_step": 0.02,
+    top = {"model": "three_stage_dual", "test_horizon": 4, "grid_step": 0.02,
            "picp_target": 0.9, "point_policy": "knee", "interval_policy": "min_piaw_above",
-           "picp_threshold": 0.85, "standardize": True}
+           "standardize": True}
+    embedding = {"tau": 2, "m": 3}  # top-level keys of the chaos analysis
     setup = {"input": "in.csv", "column": "value", "out": "o", "workers": 2,
              "preset": "cpi_headline", "seed_base": 5, "seed_count": 3}
-    assert set(stage2) == {f.name for f in fields(NsgaParams)} - {"seed"}
+    assert set(top) == {f.name for f in fields(PipelineConfig)} - {"chaos", "stage2", "stage3"}
+    assert set(stage2) == {f.name for f in fields(NsgaParams)}
     assert set(chaos) == ({f.name for f in fields(AnalyzeOptions)} - {"tau", "m", "rosenstein"}
                           | {f.name for f in fields(RosensteinOptions)})
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**top, **setup, "stage2": stage2, "stage3": stage3,
-                                "chaos": chaos}))
+    path.write_text(json.dumps({**top, **embedding, **setup, "stage2": stage2,
+                                "stage3": stage3, "chaos": chaos}))
 
     got_setup, config = resolve(["experiment", "--config", str(path)])
     # the preset's blocks are overridden field by field, here all of them
@@ -302,11 +321,18 @@ def test_resolve_carries_every_config_key(tmp_path):
         stage2=NsgaParams(**stage2),
         stage3=NsgaParams(**stage3),
         chaos=AnalyzeOptions(
-            max_lag=9, cao_max_dim=7, cao_threshold=0.07,
+            **embedding, max_lag=9, cao_max_dim=7, cao_threshold=0.07,
             rosenstein=RosensteinOptions(theiler_window=3, k_max=11, fit_start=1, fit_stop=5),
         ),
     )
     assert got_setup == {**setup, "seeds": [5, 6, 7]}
+
+    # the embedding has no second home in the chaos block, and one coverage
+    # target serves both the grid search and min_piaw_above
+    for bad in ({"chaos": {"tau": 1}}, {"picp_threshold": 0.9}):
+        path.write_text(json.dumps(bad))
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        assert "unknown" in capsys.readouterr().err
 
 
 # a flag or another key that overrides a mistyped entry does not excuse it
@@ -337,6 +363,20 @@ def test_repeated_seeds_exit_one_and_write_nothing(tmp_path, series_csv, capsys,
     assert rc == 1
     assert "seed 3 appears more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config", "front"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, case):
+    bom = b"\xef\xbb\xbf"
+    if case == "config":
+        path = tmp_path / "config.json"
+        path.write_bytes(bom + b'{"tau": 1, "picp_target": 0.9}')
+        _, config = resolve(["analyze", "--config", str(path)])
+        assert (config.chaos.tau, config.picp_target) == (1, 0.9)
+    else:
+        path = tmp_path / "seed_0.csv"
+        path.write_bytes(bom + b"f1,f2\n-1.0,2.5\n")
+        assert cli._read_front(str(path)).tolist() == [[-1.0, 2.5]]
 
 
 @pytest.mark.parametrize("case", ["config", "series", "front"])

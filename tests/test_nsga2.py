@@ -100,7 +100,7 @@ def test_tournament_tie_breaks_by_fair_coin():
 
 
 def params_for(n_vars, **kw):
-    defaults = dict(pop_size=20, generations=10, seed=3)
+    defaults = dict(pop_size=20, generations=10)
     defaults.update(kw)
     return NsgaParams(**defaults)
 
@@ -202,13 +202,17 @@ def test_params_validation():
 def test_problem_validation():
     ev = lambda x: (0.0, 0.0)  # noqa: E731
     with pytest.raises(ConfigError):
-        Problem(n_vars=0, lower=np.array([]), upper=np.array([]), evaluate=ev)
+        Problem(lower=np.array([]), upper=np.array([]), evaluate=ev)
     with pytest.raises(ConfigError):
-        Problem(n_vars=2, lower=np.zeros(1), upper=np.ones(2), evaluate=ev)
+        Problem(lower=np.zeros(1), upper=np.ones(2), evaluate=ev)
+    with pytest.raises(ConfigError, match="1-D"):
+        Problem(lower=0.0, upper=1.0, evaluate=ev)
+    with pytest.raises(ConfigError, match="1-D"):
+        Problem(lower=np.zeros((1, 1)), upper=np.ones((1, 1)), evaluate=ev)
     with pytest.raises(ConfigError):
-        Problem(n_vars=1, lower=np.ones(1), upper=np.ones(1), evaluate=ev)
+        Problem(lower=np.ones(1), upper=np.ones(1), evaluate=ev)
     with pytest.raises(ConfigError):
-        Problem(n_vars=1, lower=np.array([np.nan]), upper=np.ones(1), evaluate=ev)
+        Problem(lower=np.array([np.nan]), upper=np.ones(1), evaluate=ev)
 
 
 def two_bowl_problem():
@@ -216,13 +220,13 @@ def two_bowl_problem():
     def evaluate(X):
         return np.column_stack([(X[:, 0] - 1.0) ** 2, (X[:, 0] - 3.0) ** 2])
 
-    return Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
+    return Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
 
 
 def final_objectives(problem, params):
     """Run the engine; return its front and the last population's objectives."""
     seen = []
-    front = run(problem, params, on_generation=lambda gen, F: seen.append(F.copy()))
+    front = run(problem, params, seed=3, on_generation=lambda gen, F: seen.append(F.copy()))
     return front, seen[-1]
 
 
@@ -242,10 +246,10 @@ def test_run_returns_consistent_front():
 
 def test_run_is_deterministic():
     problem = two_bowl_problem()
-    a = run(problem, params_for(1, generations=25, seed=11))
-    b = run(problem, params_for(1, generations=25, seed=11))
+    a = run(problem, params_for(1, generations=25), seed=11)
+    b = run(problem, params_for(1, generations=25), seed=11)
     assert [(tuple(x), f) for x, f in a] == [(tuple(x), f) for x, f in b]
-    c = run(problem, params_for(1, generations=25, seed=12))
+    c = run(problem, params_for(1, generations=25), seed=12)
     assert [(tuple(x), f) for x, f in a] != [(tuple(x), f) for x, f in c]
 
 
@@ -270,8 +274,8 @@ def test_run_reproduces_pinned_front():
         g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (X.shape[1] - 1)
         return np.column_stack([X[:, 0], g * (1.0 - (X[:, 0] / g) ** 0.5)])
 
-    problem = Problem(n_vars=3, lower=np.zeros(3), upper=np.ones(3), evaluate=zdt1)
-    front = run(problem, NsgaParams(pop_size=12, generations=10, seed=2024))
+    problem = Problem(lower=np.zeros(3), upper=np.ones(3), evaluate=zdt1)
+    front = run(problem, NsgaParams(pop_size=12, generations=10), seed=2024)
     assert [(x.tolist(), f) for x, f in front] == PINNED_ZDT1_FRONT
 
 
@@ -292,7 +296,7 @@ def test_unchanged_children_are_not_reevaluated():
         calls.append(X.copy())
         return inner(X)
 
-    problem = Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
+    problem = Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
     params = params_for(1, generations=5, crossover_prob=0.0, mutation_prob=0.0)
     front, F = final_objectives(problem, params)
     assert len(calls) == 1 and calls[0].shape == (params.pop_size, 1)
@@ -322,10 +326,10 @@ def test_evaluate_gets_only_changed_children_once_per_generation(monkeypatch):
         events.append(("eval", X.copy()))
         return inner(X)
 
-    problem = Problem(n_vars=1, lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
+    problem = Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
     # low rates leave some generations without a changed child
     params = params_for(1, pop_size=4, generations=40, crossover_prob=0.2, mutation_prob=0.2)
-    run(problem, params, on_generation=lambda g, F: events.append(("gen", g)))
+    run(problem, params, seed=3, on_generation=lambda g, F: events.append(("gen", g)))
 
     assert events[0][0] == "eval" and events[0][1].shape == (4, 1)
     batches = {}
@@ -356,14 +360,15 @@ def test_evaluate_gets_only_changed_children_once_per_generation(monkeypatch):
     ],
 )
 def test_wrong_shaped_objectives_raise(bad):
-    problem = Problem(n_vars=1, lower=np.zeros(1), upper=np.ones(1), evaluate=bad)
+    problem = Problem(lower=np.zeros(1), upper=np.ones(1), evaluate=bad)
     with pytest.raises(DimensionMismatchError, match="evaluate must return shape"):
-        run(problem, params_for(1))
+        run(problem, params_for(1), seed=3)
 
 
 def test_observer_fires_once_per_generation():
     gens = []
-    run(two_bowl_problem(), params_for(1, generations=7), on_generation=lambda g, F: gens.append(g))
+    run(two_bowl_problem(), params_for(1, generations=7), seed=3,
+        on_generation=lambda g, F: gens.append(g))
     assert gens == list(range(8))
 
 
@@ -380,8 +385,8 @@ def test_scalar_bests_never_worsen():
         g = 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (X.shape[1] - 1)
         return np.column_stack([X[:, 0], g * (1.0 - np.sqrt(X[:, 0] / g))])
 
-    problem = Problem(n_vars=8, lower=np.zeros(8), upper=np.ones(8), evaluate=zdt1)
-    run(problem, params_for(8, pop_size=24, generations=40, seed=7), on_generation=watch)
+    problem = Problem(lower=np.zeros(8), upper=np.ones(8), evaluate=zdt1)
+    run(problem, params_for(8, pop_size=24, generations=40), seed=7, on_generation=watch)
     assert all(b <= a + 1e-15 for a, b in zip(best1, best1[1:]))
     assert all(b <= a + 1e-15 for a, b in zip(best2, best2[1:]))
 
@@ -396,8 +401,8 @@ def test_front_zero_regression_only_after_saturation():
     def watch(gen, F):
         snapshots.append(F[nondominated_fronts(F)[0]])
 
-    params = params_for(1, pop_size=16, generations=25, seed=5)
-    run(two_bowl_problem(), params, on_generation=watch)
+    params = params_for(1, pop_size=16, generations=25)
+    run(two_bowl_problem(), params, seed=5, on_generation=watch)
     assert elitism_violations(snapshots, params.pop_size) == []
 
 
@@ -426,6 +431,6 @@ def test_evaluation_errors_propagate():
     def boom(X):
         raise ValueError("bad objective")
 
-    problem = Problem(n_vars=1, lower=np.zeros(1), upper=np.ones(1), evaluate=boom)
+    problem = Problem(lower=np.zeros(1), upper=np.ones(1), evaluate=boom)
     with pytest.raises(ValueError, match="bad objective"):
-        run(problem, params_for(1))
+        run(problem, params_for(1), seed=3)

@@ -5,13 +5,12 @@ import concurrent.futures
 import math
 import os
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chaospi import pipeline
-from chaospi.chaos import EmbeddingParams, reconstruct
+from chaospi.chaos import AnalyzeOptions, EmbeddingParams, reconstruct
 from chaospi.errors import (
     ConfigError,
     DegenerateTrainingWarning,
@@ -51,11 +50,9 @@ SMALL_STAGE3 = NsgaParams(pop_size=24, generations=40, crossover_prob=0.75,
 def small_config(**kw):
     base = dict(
         test_horizon=6,
-        tau=1,
-        m=2,
+        chaos=AnalyzeOptions(tau=1, m=2),
         stage2=SMALL_STAGE2,
         stage3=SMALL_STAGE3,
-        seed=0,
     )
     base.update(kw)
     return PipelineConfig(**base)
@@ -223,7 +220,7 @@ class TestStage2:
 
     def test_front_objectives_match_recomputation(self):
         X, F = fit_stage2(self.data.inputs, self.data.targets,
-                          self.data.params, replace(SMALL_STAGE2, seed=4))
+                          self.data.params, SMALL_STAGE2, 4)
         assert len(F) and X.shape == (len(F), 3)
         for x, f in zip(X, F):
             pred = ar_predict(ArModel(x, self.data.params), self.data.inputs)
@@ -233,7 +230,7 @@ class TestStage2:
 
     def test_front_is_mutually_nondominated(self):
         _, F = fit_stage2(self.data.inputs, self.data.targets,
-                          self.data.params, replace(SMALL_STAGE2, seed=4))
+                          self.data.params, SMALL_STAGE2, 4)
         objs = [tuple(f) for f in F]
         for a in objs:
             assert not any(
@@ -243,18 +240,18 @@ class TestStage2:
     def test_too_few_rows(self):
         with pytest.raises(SeriesTooShortError):
             fit_stage2(self.data.inputs[:3], self.data.targets[:3],
-                       self.data.params, SMALL_STAGE2)
+                       self.data.params, SMALL_STAGE2, 0)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             fit_stage2(self.data.inputs[:, :1], self.data.targets,
-                       self.data.params, SMALL_STAGE2)
+                       self.data.params, SMALL_STAGE2, 0)
 
 
 def captured_problem(monkeypatch, fit, *args):
     """The ``Problem`` a stage fit hands to the engine."""
     seen = []
-    monkeypatch.setattr(pipeline, "nsga_run", lambda problem, params: seen.append(problem) or [])
+    monkeypatch.setattr(pipeline, "nsga_run", lambda problem, params, seed: seen.append(problem) or [])
     fit(*args)
     return seen[0]
 
@@ -262,7 +259,7 @@ def captured_problem(monkeypatch, fit, *args):
 def test_batched_stage2_objective_matches_per_vector_values(monkeypatch):
     data = reconstruct(TimeSeries(values=ar2_values(n=80, seed=9)), EmbeddingParams(tau=1, m=2))
     X, y = data.inputs, data.targets
-    problem = captured_problem(monkeypatch, fit_stage2, X, y, data.params, SMALL_STAGE2)
+    problem = captured_problem(monkeypatch, fit_stage2, X, y, data.params, SMALL_STAGE2, 0)
     C = np.random.default_rng(3).uniform(problem.lower, problem.upper, size=(40, 3))
     got = problem.evaluate(C)
     assert got.shape == (40, 2)
@@ -279,8 +276,8 @@ def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(monkeypa
     pred = rng.uniform(2.0, 4.0, 15)
     actual = pred + rng.normal(0.0, 0.4, 15)
     sigma = 0.5
-    problem = captured_problem(monkeypatch, fit_stage3, actual, pred, sigma, variant, SMALL_STAGE3)
-    V = rng.uniform(problem.lower, problem.upper, size=(40, problem.n_vars))
+    problem = captured_problem(monkeypatch, fit_stage3, actual, pred, sigma, variant, SMALL_STAGE3, 0)
+    V = rng.uniform(problem.lower, problem.upper, size=(40, problem.lower.size))
     got = problem.evaluate(V)
     assert got.shape == (40, 2)
     for v, f in zip(V, got):
@@ -326,8 +323,7 @@ class TestStage3:
         self.sigma = 0.5
 
     def test_objectives_match_recomputation(self):
-        X, F = fit_stage3(self.actual, self.pred, self.sigma, "dual",
-                          replace(SMALL_STAGE3, seed=2))
+        X, F = fit_stage3(self.actual, self.pred, self.sigma, "dual", SMALL_STAGE3, 2)
         assert len(F) and X.shape == (len(F), 2)
         for (r1, r2), (neg_picp, width) in zip(X, F):
             lower, upper = pi_bounds(self.pred, IntervalParams(r1, r2, self.sigma))
@@ -336,17 +332,17 @@ class TestStage3:
             assert width == pytest.approx((r1 + r2) * self.sigma, abs=1e-12)
 
     def test_single_variant_shares_one_multiplier(self):
-        X, F = fit_stage3(self.actual, self.pred, self.sigma, "single",
-                          replace(SMALL_STAGE3, seed=2))
+        X, F = fit_stage3(self.actual, self.pred, self.sigma, "single", SMALL_STAGE3, 2)
         assert X.shape == (len(F), 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            fit_stage3(self.actual, self.pred, self.sigma, "triple", SMALL_STAGE3)
+            fit_stage3(self.actual, self.pred, self.sigma, "triple", SMALL_STAGE3, 0)
         with pytest.raises(DimensionMismatchError):
-            fit_stage3(self.actual[:3], self.pred, self.sigma, "dual", SMALL_STAGE3)
-        with pytest.raises(ConfigError):
-            fit_stage3(self.actual, self.pred, -0.1, "dual", SMALL_STAGE3)
+            fit_stage3(self.actual[:3], self.pred, self.sigma, "dual", SMALL_STAGE3, 0)
+        for sigma in (-0.1, float("nan")):
+            with pytest.raises(ConfigError, match="sigma"):
+                fit_stage3(self.actual, self.pred, sigma, "dual", SMALL_STAGE3, 0)
 
 
 class TestIntervalSelection:
@@ -362,11 +358,11 @@ class TestIntervalSelection:
         assert F[select_interval_params(F), 1] == 3.0
 
     def test_min_piaw_above_threshold(self):
-        got = select_interval_params(self.front(), "min_piaw_above", picp_threshold=0.95)
+        got = select_interval_params(self.front(), "min_piaw_above", picp_target=0.95)
         assert tuple(self.front()[got]) == (-0.96, 3.0)
 
     def test_min_piaw_above_falls_back_to_max_picp(self):
-        got = select_interval_params(self.front(), "min_piaw_above", picp_threshold=0.999)
+        got = select_interval_params(self.front(), "min_piaw_above", picp_target=0.999)
         assert self.front()[got, 0] == -1.0
 
     def test_errors(self):
@@ -413,8 +409,8 @@ class TestSeededRuns:
         self.series = TimeSeries(values=values, labels=labels)
 
     @staticmethod
-    def run(series, **kw):
-        return run_model(series, small_config(**kw))[0]
+    def run(series, seed=0, **kw):
+        return run_model(series, small_config(**kw), seed)[0]
 
     def test_two_stage_run_is_internally_consistent(self):
         result = self.run(self.series)

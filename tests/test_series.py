@@ -42,6 +42,18 @@ def test_load_date_value_without_header(tmp_path):
     assert s.labels == ["2020-01", "2020-02"]
 
 
+# Excel's "CSV UTF-8" starts the file with a byte-order mark
+@pytest.mark.parametrize(
+    "text, column",
+    [("1.5\n2.5\n3.5\n", None), ("value,a,b\n1.5,0,0\n2.5,0,0\n3.5,0,0\n", "value")],
+    ids=["headerless", "wide"],
+)
+def test_utf8_byte_order_mark_is_skipped(tmp_path, text, column):
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_series(p, column=column).values.tolist() == [1.5, 2.5, 3.5]
+
+
 def test_wide_file_requires_column(tmp_path):
     p = tmp_path / "wide.csv"
     p.write_text("date,cpi,gdp\n2020-01,1.0,2.0\n2020-02,1.5,2.5\n")
