@@ -15,6 +15,13 @@ Nearest-neighbor searches run over blocks of rows: each block holds its
 rows' distances to every candidate neighbor, about ``_BLOCK_ELEMS`` floats,
 so memory is O(n * block) rather than O(n^2) while every distance is still
 computed exactly, by the same float operations a dense matrix would use.
+Blocks are small enough to stay in a core's L2 cache, and each is updated
+in place in buffers allocated once per call. Cao's search sets each row's
+distance to itself to +inf before the dimension loop (the self-distance is
+0 in every dimension, and the running maximum keeps it +inf), so the
+nearest neighbor is a plain ``argmin`` of the running block; only rows whose
+nearest distance is not strictly positive (duplicate vectors) are searched
+again with zero distances masked out.
 """
 
 from __future__ import annotations
@@ -34,16 +41,18 @@ from .errors import (
 )
 from .series import TimeSeries
 
-# Elements per row block of a neighbor search (2**19 float64 is 4 MB per
-# temporary); a block holds max(1, _BLOCK_ELEMS // n_cols) rows.
-_BLOCK_ELEMS = 2**19
+# Elements per row block of a neighbor search; a block holds
+# max(1, _BLOCK_ELEMS // n_cols) rows. 2**16 float64 is 512 KB, so a block
+# and its scratch buffer fit together in a 2 MB per-core L2 cache: larger
+# blocks fall out of cache, smaller ones pay more per-call overhead.
+_BLOCK_ELEMS = 2**16
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """``(start, stop)`` bounds of the row blocks covering ``n_rows`` rows."""
-    step = max(1, _BLOCK_ELEMS // n_cols)
-    for a in range(0, n_rows, step):
-        yield a, min(a + step, n_rows)
+def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[tuple[int, int]]]:
+    """Rows per block and the ``(start, stop)`` bounds of the row blocks
+    covering ``n_rows`` rows."""
+    step = min(n_rows, max(1, _BLOCK_ELEMS // n_cols))
+    return step, [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -247,11 +256,16 @@ def lyapunov_rosenstein(
     vecs = _delay_matrix(x, tau, m)
     nn = np.empty(n_vec, dtype=np.intp)
     valid = np.empty(n_vec, dtype=bool)
-    for a, b in _row_blocks(n_vec, n_vec):
-        dist2 = np.zeros((b - a, n_vec))
+    step, blocks = _row_blocks(n_vec, n_vec)
+    dist2_buf = np.empty((step, n_vec))
+    diff_buf = np.empty((step, n_vec))
+    for a, b in blocks:
+        dist2, diff = dist2_buf[: b - a], diff_buf[: b - a]
+        dist2.fill(0.0)  # summed as 0 + col0**2 + col1**2 + ...
         for col in range(m):
-            diff = vecs[a:b, col][:, None] - vecs[:, col][None, :]
-            dist2 += diff * diff
+            np.subtract(vecs[a:b, col][:, None], vecs[:, col][None, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(dist2, diff, out=dist2)
         for i in range(a, b):  # Theiler band |i - j| <= window
             dist2[i - a, max(0, i - window) : i + window + 1] = np.inf
         dist2[dist2 == 0.0] = np.inf
@@ -337,19 +351,33 @@ def cao_min_dimension(
     ratios = [np.empty(n - d * tau) for d in dims]
     gaps = [np.empty(n - d * tau) for d in dims]
     d_stop = max_dim + 2  # smallest d with a degenerate vector, if any
-    for a, b in _row_blocks(n - tau, n):
+    step, blocks = _row_blocks(n - tau, n)
+    dist_buf = np.empty((step, n))
+    gap_buf = np.empty((step, n))
+    for a, b in blocks:
         # Chebyshev distances of rows a..b-1 start at dimension 1 and gain one
         # coordinate per step: D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|).
-        dist = np.abs(x[a:b, None] - x[None, :])
+        # Each row's self-pair is +inf, so argmin never picks the row itself.
+        dist = dist_buf[: b - a]
+        np.subtract(x[a:b, None], x[None, :], out=dist)
+        np.abs(dist, out=dist)
+        dist[np.arange(b - a), np.arange(a, b)] = np.inf
         for d in range(1, d_stop):
             r = n - d * tau  # vectors that still exist in dimension d+1
             hi = min(b, r)
             if hi <= a:
                 break
             sub = dist[: hi - a, :r]
-            masked = np.where(sub > 0.0, sub, np.inf)
-            nn = np.argmin(masked, axis=1)
-            den = masked[np.arange(hi - a), nn]
+            nn = np.argmin(sub, axis=1)
+            den = sub[np.arange(hi - a), nn]
+            # a nearest distance of 0 (a duplicate vector) or NaN: search the
+            # row again for its nearest strictly positive neighbor
+            again = np.flatnonzero(~(den > 0.0))
+            if again.size:
+                rows = sub[again]
+                masked = np.where(rows > 0.0, rows, np.inf)
+                nn[again] = np.argmin(masked, axis=1)
+                den[again] = masked[np.arange(again.size), nn[again]]
             if not np.all(np.isfinite(den)):
                 d_stop = d
                 break
@@ -358,7 +386,10 @@ def cao_min_dimension(
             ratios[d - 1][a:hi] = np.maximum(den, new_gap) / den
             gaps[d - 1][a:hi] = new_gap
             if d <= max_dim:
-                np.maximum(sub, np.abs(shifted[a:hi, None] - shifted[None, :]), out=sub)
+                gap = gap_buf[: hi - a, :r]
+                np.subtract(shifted[a:hi, None], shifted[None, :], out=gap)
+                np.abs(gap, out=gap)
+                np.maximum(sub, gap, out=sub)
     if d_stop <= max_dim + 1:
         raise DegenerateNeighborsError(
             f"a dimension-{d_stop} vector has only zero-distance neighbors"

@@ -19,7 +19,11 @@ every default, plus the run-setup keys in ``_SETUP_KEYS``; the top-level
 Exit codes: 0 on success, 1 on any domain or configuration error, 2 on an
 operating-system I/O failure. Outputs are plain JSON/CSV written with
 deterministic formatting, so re-running a command with identical inputs and
-configuration reproduces files byte for byte.
+configuration reproduces files byte for byte. A command run into a reused
+output directory deletes the files it owns there but did not write this time
+(a Cao curve for a forced dimension, fronts of seeds outside this run,
+surfaces when no seed succeeded, ``failures.json`` when none failed), so the
+directory holds only this run's outputs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import os
 import re
 import sys
+from contextlib import suppress
 from dataclasses import fields, replace
 from typing import Any
 
@@ -44,6 +49,8 @@ from .errors import ChaospiError, ConfigError, EmptyFrontError
 from .nsga2 import NsgaParams
 from .pipeline import ExperimentReport, PipelineConfig, RunResult
 from .series import TimeSeries, load_series
+
+_FRONT_CSV = re.compile(r"seed_(-?\d+)\.csv")
 
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
@@ -121,6 +128,12 @@ def _write_file(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _remove_stale(path: str) -> None:
+    """Delete an output this run did not write, left by an earlier run."""
+    with suppress(FileNotFoundError):
+        os.remove(path)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -277,19 +290,25 @@ def _chaos_payload(report: ChaosReport) -> dict:
 
 def _write_chaos(out: str, report: ChaosReport) -> None:
     _write_json(os.path.join(out, "chaos.json"), _chaos_payload(report))
+    divergence_path = os.path.join(out, "divergence.csv")
     if report.divergence_curve is not None:
         rows = [
             [k, float(v)]
             for k, v in enumerate(report.divergence_curve)
             if math.isfinite(float(v))
         ]
-        _write_csv(os.path.join(out, "divergence.csv"), ["k", "mean_log_distance"], rows)
+        _write_csv(divergence_path, ["k", "mean_log_distance"], rows)
+    else:
+        _remove_stale(divergence_path)
+    cao_path = os.path.join(out, "cao.csv")
     if report.e1_curve is not None and report.e2_curve is not None:
         rows = [
             [d + 1, float(e1), float(e2)]
             for d, (e1, e2) in enumerate(zip(report.e1_curve, report.e2_curve))
         ]
-        _write_csv(os.path.join(out, "cao.csv"), ["d", "e1", "e2"], rows)
+        _write_csv(cao_path, ["d", "e1", "e2"], rows)
+    else:
+        _remove_stale(cao_path)
 
 
 def _run_payload(result: RunResult) -> dict:
@@ -329,9 +348,15 @@ def _write_intervals_csv(out: str, result: RunResult) -> None:
 def _write_fronts(out: str, report: ExperimentReport) -> None:
     front_dir = os.path.join(out, "fronts")
     os.makedirs(front_dir, exist_ok=True)
+    written = set()
     for result in report.results:
         rows = [[float(f1), float(f2)] for f1, f2 in result.front]
-        _write_csv(os.path.join(front_dir, f"seed_{result.seed}.csv"), ["f1", "f2"], rows)
+        name = f"seed_{result.seed}.csv"
+        _write_csv(os.path.join(front_dir, name), ["f1", "f2"], rows)
+        written.add(name)
+    for name in os.listdir(front_dir):
+        if _FRONT_CSV.fullmatch(name) and name not in written:
+            _remove_stale(os.path.join(front_dir, name))
 
 
 def _write_eaf(out: str, fronts: list[np.ndarray]) -> None:
@@ -410,13 +435,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _write_fronts(out, report)
     if report.results:
         _write_eaf(out, [r.front for r in report.results])
+    else:
+        for name in eaf_mod.standard_levels(1):  # the names do not depend on the count
+            _remove_stale(os.path.join(out, f"eaf_{name}.csv"))
+    failures_path = os.path.join(out, "failures.json")
     if report.failures:
-        _write_json(
-            os.path.join(out, "failures.json"),
-            {"failures": payload["failures"]},
-        )
+        _write_json(failures_path, {"failures": payload["failures"]})
         print(f"{len(report.failures)} of {len(seeds)} seeds failed", file=sys.stderr)
         return 1
+    _remove_stale(failures_path)
     print(
         f"{report.model_kind} over {len(seeds)} seeds: "
         f"picp {report.picp_mean:.4f} +/- {report.picp_std:.4f}, "
@@ -436,7 +463,7 @@ def cmd_eaf(args: argparse.Namespace) -> int:
         raise ConfigError(f"not a directory: {front_dir}")
     paths = []
     for name in os.listdir(front_dir):
-        match = re.fullmatch(r"seed_(-?\d+)\.csv", name)
+        match = _FRONT_CSV.fullmatch(name)
         if match:
             paths.append((int(match.group(1)), os.path.join(front_dir, name)))
     if not paths:

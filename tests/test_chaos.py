@@ -218,6 +218,45 @@ class TestAnalyze:
                 analyze(TimeSeries(values=logistic_map(500)), AnalyzeOptions(cao_max_dim=max_dim))
 
 
+# Default-block results on henon_x(4000), captured with float.hex from the
+# row-blocked search before its blocks were sized for the L2 cache; the
+# benchmark's analyze runs at this size.
+
+HENON_4000_E1 = [
+    "0x1.bf5993cbe86cdp-12", "0x1.e4f4a70f69011p-1", "0x1.f92449cabe6b1p-1",
+    "0x1.fe65ea86a2246p-1", "0x1.f8faa22ecf445p-1", "0x1.012fd55f78dd8p+0",
+    "0x1.fd1dbecd99acfp-1", "0x1.fe44e89fb7b8bp-1", "0x1.000394e2bd181p+0",
+    "0x1.fca03f33447fcp-1", "0x1.ff40098fc738bp-1", "0x1.fa0462e8f4cb4p-1",
+]
+
+HENON_4000_E2 = [
+    "0x1.320b04223dab3p-6", "0x1.6c0a827d7ca85p+0", "0x1.6c8efcf944434p+0",
+    "0x1.6ed0b1e01dd7ep+0", "0x1.6efa7d997637ep+0", "0x1.756f06d58c7b6p+0",
+    "0x1.6d06b85fd4a2ep+0", "0x1.696706015df85p+0", "0x1.6fbc0504b9b59p+0",
+    "0x1.6a4aa15857644p+0", "0x1.59beeff865a58p+0", "0x1.4523228bb05d7p+0",
+]
+
+HENON_4000_DIVERGENCE = [
+    "-0x1.85cda1ab3bd17p+2", "-0x1.76f79f03611a1p+2", "-0x1.5d644bdf7bc2fp+2",
+    "-0x1.42517d1eb78a7p+2", "-0x1.27152079e8879p+2", "-0x1.0bc9e9c540194p+2",
+    "-0x1.e0f432c50cc56p+1", "-0x1.aa0926ab7f01ep+1", "-0x1.73c1cbbc8ab0ap+1",
+    "-0x1.3de2d49fa27ecp+1", "-0x1.097e4cd685808p+1", "-0x1.af0b93eaa7c7cp+0",
+    "-0x1.5265694e3c3b9p+0", "-0x1.fd4b2ccb056e9p-1", "-0x1.73a4a7572be94p-1",
+    "-0x1.059982818b79cp-1", "-0x1.5f2ee51c04467p-2", "-0x1.a8d9a5951ce63p-3",
+    "-0x1.a556447b04b84p-4", "-0x1.43224993e90fep-6", "0x1.1f5ea196a4f1fp-5",
+    "0x1.65101f7a98979p-4", "0x1.08fd0c4755b83p-3", "0x1.27eb698694639p-3",
+    "0x1.40d3782c498b1p-3", "0x1.67f2f87af1d70p-3", "0x1.85a20f8ff1777p-3",
+    "0x1.9b9d7e2529ee9p-3", "0x1.ae3411141da59p-3", "0x1.b97b1d89c3fafp-3",
+    "0x1.c97ae93df42a2p-3", "0x1.c657b4472677dp-3", "0x1.c09266e4ca4b3p-3",
+    "0x1.bce1da02a0239p-3", "0x1.b96de2d0a56d5p-3", "0x1.c46115bb7c6e1p-3",
+    "0x1.dd4f774502feap-3", "0x1.fe12ae7dbf4cfp-3", "0x1.09d702e7341fbp-2",
+    "0x1.175a9553d4c2ap-2", "0x1.1f597abc30810p-2", "0x1.1c619a9514c54p-2",
+    "0x1.0e91ca9378796p-2", "0x1.07126fdcea21dp-2", "0x1.08e36d6ad309ap-2",
+    "0x1.0d6b362dbaa02p-2", "0x1.05f954359bd30p-2", "0x1.febcd161006eep-3",
+    "0x1.fb9361c66e962p-3", "0x1.071103ee3eb95p-2", "0x1.0d0ca8bfed1c3p-2",
+]
+
+
 class TestBlockedNeighborSearch:
     """The row-blocked searches equal the dense n x n computation bit for bit,
     whatever the block size, and stay small in memory."""
@@ -264,6 +303,21 @@ class TestBlockedNeighborSearch:
         assert est.n_pairs == n_pairs
         assert est.exponent == slope
 
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_cao_zero_distance_that_turns_positive(self, monkeypatch, rows, tau):
+        # vectors 40 and 150 share their first coordinate and differ by 1e-9
+        # in the second: distance 0 in dimension 1 (skipped), then the
+        # nearest pair in dimension 2
+        x = henon_x(self.N)
+        x[150] = x[40]
+        x[150 + tau] = x[40 + tau] + 1e-9
+        if rows is not None:
+            self.set_block_rows(monkeypatch, rows, self.N)
+        _, e1, e2 = cao_min_dimension(x, tau, max_dim=8)
+        e1_dense, e2_dense = dense_cao(x, tau, max_dim=8)
+        assert np.array_equal(e1, e1_dense) and np.array_equal(e2, e2_dense)
+
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize(
         "x, tau, max_dim",
@@ -280,6 +334,20 @@ class TestBlockedNeighborSearch:
         with pytest.raises(DegenerateNeighborsError, match=f"dimension-{d} vector"):
             cao_min_dimension(x, tau, max_dim)
 
+    def test_default_blocks_at_benchmark_scale(self):
+        x = henon_x(4000)
+        m, e1, e2 = cao_min_dimension(x, tau=1)
+        assert m == 3
+        assert [v.hex() for v in e1.tolist()] == HENON_4000_E1
+        assert [v.hex() for v in e2.tolist()] == HENON_4000_E2
+        est = lyapunov_rosenstein(x, EmbeddingParams(1, 3))
+        assert est.n_pairs == 3998
+        # the log and the least-squares fit may differ in the last bits
+        # between CPUs and BLAS builds; a changed neighbor moves them by far more
+        divergence = [float.fromhex(v) for v in HENON_4000_DIVERGENCE]
+        assert est.divergence.tolist() == pytest.approx(divergence, rel=1e-12)
+        assert est.exponent == pytest.approx(float.fromhex("0x1.567a3be0a852ep-2"), rel=1e-12)
+
     def test_peak_memory_stays_blocked(self):
         # the dense n x n versions peak at about 343 MB and 275 MB here
         x = henon_x(3000)
@@ -293,4 +361,4 @@ class TestBlockedNeighborSearch:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 32 * 2**20
+            assert peak < 4 * 2**20

@@ -194,6 +194,57 @@ def test_eaf_command_needs_front_files(tmp_path):
     assert cli.main(["eaf", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_reused_out_dir_drops_stale_chaos_curves(tmp_path):
+    logistic, constant = tmp_path / "logistic.csv", tmp_path / "constant.csv"
+    write_series(TimeSeries(values=logistic_map(300)), logistic)
+    write_series(TimeSeries(values=np.ones(60)), constant)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(logistic), "--out", str(out)]) == 0
+    assert (out / "cao.csv").exists()
+    assert cli.main(["analyze", "--input", str(logistic), "--m", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "chaos.json").read_text())["e1_curve"] is None
+    assert not (out / "cao.csv").exists()
+    assert (out / "divergence.csv").exists()
+    with pytest.warns(UserWarning, match="divergence tracking failed"):
+        rc = cli.main(["analyze", "--input", str(constant), "--tau", "1", "--m", "2", "--out", str(out)])
+    assert rc == 0
+    assert not (out / "divergence.csv").exists()
+
+
+def test_reused_out_dir_holds_only_this_runs_fronts(tmp_path, series_csv, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "exp"
+    for seeds in ("1,2,3", "4,5"):
+        assert cli.main([
+            "experiment", "--input", str(series_csv), "--config", str(cfg),
+            "--seeds", seeds, "--out", str(out),
+        ]) == 0
+    assert sorted(os.listdir(out / "fronts")) == ["seed_4.csv", "seed_5.csv"]
+    capsys.readouterr()
+    assert cli.main(["eaf", "--input", str(out), "--out", str(tmp_path / "redo")]) == 0
+    assert "attainment surfaces for 2 fronts" in capsys.readouterr().out
+
+
+def test_reused_out_dir_drops_surfaces_and_failures_of_earlier_runs(tmp_path, series_csv):
+    short_csv = tmp_path / "short.csv"
+    write_series(TimeSeries(values=ar2_values(n=30, seed=2)), short_csv)
+    short_cfg = tmp_path / "short"
+    short_cfg.mkdir()
+    out = tmp_path / "exp"
+    argv = ["experiment", "--seeds", "0,1", "--out", str(out)]
+    ok = argv + ["--input", str(series_csv), "--config", str(write_config(tmp_path))]
+    failing = argv + ["--input", str(short_csv),
+                      "--config", str(write_config(short_cfg, test_horizon=25))]
+    assert cli.main(ok) == 0
+    assert cli.main(failing) == 1  # every seed fails: no fronts, no surfaces
+    assert os.listdir(out / "fronts") == []
+    assert not any(name.startswith("eaf_") for name in os.listdir(out))
+    assert (out / "failures.json").exists()
+    assert cli.main(ok) == 0
+    assert not (out / "failures.json").exists()
+    assert {"eaf_best.csv", "eaf_median.csv", "eaf_worst.csv"} <= set(os.listdir(out))
+
+
 def test_flag_overrides_config_file(tmp_path, series_csv):
     cfg = write_config(tmp_path)  # horizon 5 in the file
     out = tmp_path / "out"
