@@ -19,11 +19,10 @@ from .eaf import (
     AttainmentSurface,
     FrontEnsemble,
     attainment_surface,
-    attained_count,
     standard_levels,
 )
 from .metrics import directional_symmetry, piaw, picp, smape
-from .nsga2 import NsgaParams, Problem, dominates, run as nsga2_run
+from .nsga2 import NsgaParams, Problem, run as nsga2_run
 from .pipeline import (
     ArModel,
     ExperimentReport,

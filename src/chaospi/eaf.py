@@ -54,16 +54,6 @@ class AttainmentSurface:
     vertices: np.ndarray  # (n, 2), f1 strictly increasing, f2 strictly decreasing
 
 
-def attained_count(ensemble: FrontEnsemble, point) -> int:
-    """Number of runs with at least one front point weakly dominating ``point``."""
-    q = np.asarray(point, dtype=float)
-    count = 0
-    for front in ensemble.fronts:
-        if np.any((front[:, 0] <= q[0]) & (front[:, 1] <= q[1])):
-            count += 1
-    return count
-
-
 def attainment_surface(ensemble: FrontEnsemble, level: int) -> AttainmentSurface:
     """Exact level-``level`` attainment surface of the ensemble."""
     n = ensemble.n_runs
@@ -93,11 +83,3 @@ def standard_levels(n_runs: int) -> dict[str, int]:
         raise InvalidLevelError("need at least one run")
     return {"best": 1, "median": math.ceil(n_runs / 2), "worst": n_runs}
 
-
-def surface_value(surface: AttainmentSurface, x: float) -> float:
-    """Evaluate the staircase at ``x``: the lowest f2 attained with f1 <= x."""
-    v = surface.vertices
-    if v.size == 0:
-        return math.inf
-    idx = np.searchsorted(v[:, 0], x, side="right") - 1
-    return math.inf if idx < 0 else float(v[idx, 1])

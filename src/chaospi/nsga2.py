@@ -1,9 +1,11 @@
 """Bi-objective NSGA-II over box-constrained real vectors.
 
 Implemented from first principles after Deb, Pratap, Agarwal & Meyarivan
-(2002): fast non-dominated sorting, crowding distance, binary tournament
-selection under the crowded comparison operator, simulated binary crossover
-(SBX), polynomial mutation, and (mu + lambda) elitist replacement.
+(2002): non-dominated sorting, crowding distance, binary tournament selection
+under the crowded comparison operator, simulated binary crossover (SBX),
+polynomial mutation, and (mu + lambda) elitist replacement. Fronts are peeled
+one vectorised pass at a time, and survivor selection stops peeling once the
+population is full.
 
 The population is held as arrays: decision vectors ``X`` of shape
 ``(pop, d)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
@@ -31,9 +33,8 @@ the same arrays in another order, changes the results of every seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -106,40 +107,42 @@ class NsgaParams:
             raise ConfigError("distribution indices must be positive")
 
 
-def dominates(f_a: Sequence[float], f_b: Sequence[float]) -> bool:
-    """True when ``f_a`` is no worse in both objectives and better in one."""
-    return (
-        f_a[0] <= f_b[0]
-        and f_a[1] <= f_b[1]
-        and (f_a[0] < f_b[0] or f_a[1] < f_b[1])
-    )
-
-
-def nondominated_fronts(objs: np.ndarray) -> list[np.ndarray]:
+def nondominated_fronts(objs: np.ndarray, fill: int | None = None) -> list[np.ndarray]:
     """Peel Pareto fronts from an (n, 2) objective array.
 
     Returns row index arrays, best front first, each in ascending row
-    order; every row appears exactly once and equal points share a front.
-    Sweeps the rows in (f1, f2) order (Jensen 2003): each front's smallest
-    f2 so far is its last member's and these stay sorted across fronts, so
-    a binary search finds the first front that does not dominate a row; a
-    copy of the previous row joins its front. O(n log n).
+    order; equal points share a front. Every row is placed, or, given
+    ``fill``, only the fronts needed to hold at least ``fill`` rows.
+
+    The rows are sorted once in (f1, f2) order. Each pass then takes one
+    front: a row is in it when its f2 is below the smallest f2 of the rows
+    left before its group of equal points, and the other rows of a group
+    follow its first. The first row left is never dominated, so every pass
+    places a row, NaN rows included. O(n log n + n * fronts).
     """
     objs = np.asarray(objs, dtype=float)
+    n = objs.shape[0]
+    fill = n if fill is None else min(fill, n)
     order = np.lexsort((objs[:, 1], objs[:, 0]))
-    f1, f2 = objs[order, 0].tolist(), objs[order, 1].tolist()
-    front_f2: list[float] = []
-    front_of = []
-    k = 0
-    for s in range(len(order)):
-        if s == 0 or f1[s] != f1[s - 1] or f2[s] != f2[s - 1]:
-            k = bisect_right(front_f2, f2[s])
-            front_f2[k : k + 1] = [f2[s]]  # k == len(front_f2) opens a front
-        front_of.append(k)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = front_of
-    rows = np.argsort(rank, kind="stable")
-    return np.split(rows, np.cumsum(np.bincount(rank))[:-1]) if rows.size else []
+    f1, f2 = objs[order, 0], objs[order, 1]
+    head = np.arange(n)  # the first sorted row of each row's group
+    head[1:][(f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])] = 0
+    np.maximum.accumulate(head, out=head)
+    verdict = np.empty(n, dtype=bool)
+    left = np.arange(n)  # sorted rows not yet placed
+    fronts, placed = [], 0
+    while placed < fill:
+        g2 = f2[left]
+        on = np.empty(left.size, dtype=bool)
+        on[0] = True
+        # fmin skips NaN, so a NaN f2 blocks no later row
+        np.less(g2[1:], np.fmin.accumulate(g2)[:-1], out=on[1:])
+        verdict[left] = on
+        on = verdict[head[left]]
+        fronts.append(np.sort(order[left[on]]))
+        placed += fronts[-1].size
+        left = left[~on]
+    return fronts
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -253,6 +256,7 @@ def _select_next(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elitist (mu + lambda) replacement: fill front by front, truncating the
     overflow front by descending crowding distance with index as tie-break.
+    Only the fronts that fill the population are peeled.
 
     Returns the surviving row indices of ``objs`` in their new population
     order, with the rank and crowding distance each got in this sort.
@@ -268,7 +272,7 @@ def _select_next(
     """
     keep, rank, crowding = [], [], []
     kept = 0
-    for r, front in enumerate(nondominated_fronts(objs)):
+    for r, front in enumerate(nondominated_fronts(objs, fill=pop_size)):
         dist = crowding_distance(objs[front])
         room = pop_size - kept
         if front.size > room:
@@ -278,8 +282,6 @@ def _select_next(
         rank.append(np.full(front.size, r))
         crowding.append(dist)
         kept += front.size
-        if kept == pop_size:
-            break
     return np.concatenate(keep), np.concatenate(rank), np.concatenate(crowding)
 
 

@@ -1,6 +1,11 @@
-"""Deterministic series generators shared across test modules."""
+"""Deterministic series generators and reference implementations shared
+across test modules."""
+
+import math
 
 import numpy as np
+
+from chaospi.nsga2 import crowding_distance
 
 
 def logistic_map(n, x0=0.4):
@@ -48,6 +53,48 @@ def brute_force_fronts(objs):
         fronts.append(sorted(front))
         remaining -= set(front)
     return fronts
+
+
+def reference_select(objs, pop_size):
+    """Survivor selection from fully peeled oracle fronts.
+
+    Every front comes from ``brute_force_fronts``, then the fronts fill the
+    population in order, and the front that overflows keeps its rows of
+    largest crowding distance (row index breaks ties). Returns ``(keep,
+    rank, crowding)`` in the same form as ``nsga2._select_next``.
+    """
+    objs = np.asarray(objs, dtype=float)
+    keep, rank, crowding = [], [], []
+    for r, front in enumerate(brute_force_fronts(objs)):
+        room = pop_size - sum(k.size for k in keep)
+        if room == 0:
+            break
+        front = np.array(front)
+        dist = crowding_distance(objs[front])
+        if front.size > room:
+            order = np.lexsort((front, -dist))[:room]
+            front, dist = front[order], dist[order]
+        keep.append(front)
+        rank.append(np.full(front.size, r))
+        crowding.append(dist)
+    return np.concatenate(keep), np.concatenate(rank), np.concatenate(crowding)
+
+
+def attained_count(ensemble, point):
+    """Number of runs with at least one front point weakly dominating ``point``."""
+    q = np.asarray(point, dtype=float)
+    return sum(
+        bool(np.any((front[:, 0] <= q[0]) & (front[:, 1] <= q[1]))) for front in ensemble.fronts
+    )
+
+
+def surface_value(surface, x):
+    """Evaluate a staircase at ``x``: the lowest f2 attained with f1 <= x."""
+    v = surface.vertices
+    if v.size == 0:
+        return math.inf
+    idx = np.searchsorted(v[:, 0], x, side="right") - 1
+    return math.inf if idx < 0 else float(v[idx, 1])
 
 
 def elitism_violations(snapshots, pop_size):

@@ -15,12 +15,20 @@ import pytest
 
 from chaospi import cli
 from chaospi.chaos import AnalyzeOptions, EmbeddingParams, RosensteinOptions, analyze, cao_min_dimension, lyapunov_rosenstein
-from chaospi.eaf import FrontEnsemble, attainment_surface, attained_count, standard_levels, surface_value
+from chaospi.eaf import FrontEnsemble, attainment_surface, standard_levels
 from chaospi.metrics import directional_symmetry, piaw, picp, smape
 from chaospi.nsga2 import NsgaParams, Problem, nondominated_fronts, run as nsga_run
 from chaospi.pipeline import PipelineConfig, apply_preset, fit_stage3, run_experiment
 from chaospi.series import TimeSeries, load_series, summarize, write_series
-from helpers import ar2_values, brute_force_fronts, elitism_violations, logistic_map, sine_wave
+from helpers import (
+    ar2_values,
+    attained_count,
+    brute_force_fronts,
+    elitism_violations,
+    logistic_map,
+    sine_wave,
+    surface_value,
+)
 
 
 def verdict(number, name, ok, detail=""):

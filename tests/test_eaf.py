@@ -6,15 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from chaospi.eaf import (
-    AttainmentSurface,
-    FrontEnsemble,
-    attained_count,
-    attainment_surface,
-    standard_levels,
-    surface_value,
-)
+from chaospi.eaf import AttainmentSurface, FrontEnsemble, attainment_surface, standard_levels
 from chaospi.errors import EmptyFrontError, InvalidLevelError
+from helpers import attained_count, surface_value
 
 THREE_RUNS = [
     np.array([[1.0, 3.0], [3.0, 1.0]]),

@@ -345,6 +345,37 @@ class TestStage3:
                 fit_stage3(self.actual, self.pred, sigma, "dual", SMALL_STAGE3, 0)
 
 
+# Front 0 of a dual stage-3 run (pop 12, 20 generations, seed 11) on 40
+# points whose gaps to the forecast take six distinct values, recorded with
+# repr precision. -PICP takes only multiples of 1/40, so survivor selection
+# meets many tied and equal points; the values hold that sort to its output.
+PINNED_STAGE3_X = [
+    [1e-06, 1e-06], [0.5045550420510158, 0.5001397341901228], [1e-06, 1e-06],
+    [0.30978361273807736, 0.5023706091206476], [0.22555265349600537, 0.11098049293956716],
+    [1e-06, 0.10505170502225193], [1e-06, 0.46142187220056186],
+    [0.11083286856393912, 0.5001397341901228], [0.225915150039218, 0.5005001694755388],
+    [0.49525670633011454, 0.5036958259056152], [0.020784577061253345, 0.5023896015441629],
+    [0.21619390662719273, 1e-06],
+]
+PINNED_STAGE3_F = [
+    [-0.075, 2.0000000000421957e-06], [-1.0, 1.0046947762411387],
+    [-0.075, 2.0000000000421957e-06], [-0.825, 0.812154221858725],
+    [-0.35, 0.3365331464355724], [-0.175, 0.10505270502225202],
+    [-0.45, 0.4614228722005619], [-0.65, 0.6109726027540618],
+    [-0.725, 0.7264153195147568], [-0.9, 0.9989525322357299],
+    [-0.55, 0.5231741786054163], [-0.25, 0.21619490662719273],
+]
+
+
+def test_stage3_reproduces_pinned_front():
+    i = np.arange(40)
+    actual = (i % 7) * 0.5
+    predicted = actual + ((i * 13) % 11 - 5) * 0.1
+    X, F = fit_stage3(actual, predicted, 1.0, "dual", NsgaParams(12, 20), 11)
+    assert X.tolist() == PINNED_STAGE3_X
+    assert F.tolist() == PINNED_STAGE3_F
+
+
 class TestIntervalSelection:
     # (-picp, piaw) rows
     def front(self):
