@@ -11,17 +11,24 @@ The module covers the usual pre-modeling chain for nonlinear time series:
   neighbor pairs and fit a line over the initial growth region,
 * lagged input/target matrices for one-step-ahead autoregression.
 
-Nearest-neighbor searches run over blocks of rows: each block holds its
-rows' distances to every candidate neighbor, about ``_BLOCK_ELEMS`` floats,
-so memory is O(n * block) rather than O(n^2) while every distance is still
-computed exactly, by the same float operations a dense matrix would use.
-Blocks are small enough to stay in a core's L2 cache, and each is updated
-in place in buffers allocated once per call. Cao's search sets each row's
-distance to itself to +inf before the dimension loop (the self-distance is
-0 in every dimension, and the running maximum keeps it +inf), so the
-nearest neighbor is a plain ``argmin`` of the running block; only rows whose
-nearest distance is not strictly positive (duplicate vectors) are searched
-again with zero distances masked out.
+Nearest-neighbor searches run over blocks of rows taken from one residue
+class mod tau (rows i, i + tau, i + 2*tau, ...), so memory is O(n * block)
+rather than O(n^2) while every distance is still computed exactly, by the
+same float operations a dense matrix would use. Within such a block, row
+i's coordinate at lag d*tau is row i + d*tau's first coordinate, and the
+gap |x[i + d*tau] - x[j + d*tau]| to every candidate j is row i + d*tau of
+the 1-D distance matrix shifted by d*tau columns. Each search therefore
+computes the block's 1-D rows once into a shared row buffer, with one more
+row per added coordinate (``max_dim`` for Cao, ``m - 1`` for Rosenstein),
+and takes every new coordinate as a slice of it. The block and the row
+buffer together stay within about ``2 * _BLOCK_ELEMS`` floats, small enough
+for a core's L2 cache, and are updated in place in buffers allocated once
+per call. Cao's search sets each row's distance to
+itself to +inf before the dimension loop (the self-distance is 0 in every
+dimension, and the running maximum keeps it +inf), so the nearest neighbor
+is a plain ``argmin`` of the running block; only rows whose nearest
+distance is not strictly positive (duplicate vectors) are searched again
+with zero distances masked out.
 """
 
 from __future__ import annotations
@@ -41,18 +48,35 @@ from .errors import (
 )
 from .series import TimeSeries
 
-# Elements per row block of a neighbor search; a block holds
-# max(1, _BLOCK_ELEMS // n_cols) rows. 2**16 float64 is 512 KB, so a block
-# and its scratch buffer fit together in a 2 MB per-core L2 cache: larger
-# blocks fall out of cache, smaller ones pay more per-call overhead.
+# Elements per buffer of a neighbor search. A search holds a block of rows
+# and the shared rows of 1-D distances its new coordinates are sliced from,
+# ``extra`` rows more than the block; the two together take about
+# 2 * (_BLOCK_ELEMS // n_cols) rows. 2**16 float64 is 512 KB, so both fit in
+# a 2 MB per-core L2 cache: larger blocks fall out of cache, smaller ones pay
+# more per-call overhead.
 _BLOCK_ELEMS = 2**16
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> tuple[int, list[tuple[int, int]]]:
-    """Rows per block and the ``(start, stop)`` bounds of the row blocks
-    covering ``n_rows`` rows."""
-    step = min(n_rows, max(1, _BLOCK_ELEMS // n_cols))
-    return step, [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+def _row_blocks(
+    n_rows: int, n_cols: int, tau: int, extra: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Rows per block and the ``(first_row, rows)`` blocks covering rows
+    ``0..n_rows-1``; a block is the rows ``first_row + k*tau`` for
+    ``k < rows``, a run from one residue class mod ``tau``."""
+    budget = (2 * (_BLOCK_ELEMS // n_cols) - extra) // 2
+    step = max(1, min(-(-n_rows // tau), budget))
+    blocks = []
+    for c in range(min(tau, n_rows)):
+        count = len(range(c, n_rows, tau))
+        blocks += [(c + k * tau, min(step, count - k)) for k in range(0, count, step)]
+    return step, blocks
+
+
+def _distance_rows(x: np.ndarray, first: int, tau: int, out: np.ndarray) -> None:
+    """Write the differences ``x[first + k*tau] - x[j]`` into row k of
+    ``out``: rows of the signed 1-D distance matrix from one residue class."""
+    rows = x[first : first + out.shape[0] * tau : tau]
+    np.subtract(rows[:, None], x[None, :], out=out)
 
 
 @dataclass(frozen=True)
@@ -217,6 +241,43 @@ def _delay_matrix(x: np.ndarray, tau: int, m: int) -> np.ndarray:
     return x[idx]
 
 
+def _rosenstein_neighbors(
+    x: np.ndarray, tau: int, m: int, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each delay vector's nearest Euclidean neighbor outside the Theiler
+    band ``|i - j| <= window`` and at nonzero distance, and whether it has
+    one."""
+    n_vec = x.size - (m - 1) * tau
+    nn = np.empty(n_vec, dtype=np.intp)
+    valid = np.empty(n_vec, dtype=bool)
+    # a block's rows i gain coordinate col as row i + col*tau of the squared
+    # 1-D distances, shifted by col*tau columns: m - 1 rows beyond the block
+    step, blocks = _row_blocks(n_vec, x.size, tau, m - 1)
+    # one allocation for both buffers, larger than either of Cao's: glibc's
+    # malloc maps it afresh and unmaps it whole, where two smaller ones would
+    # grow the heap and raise the peak resident memory of analyze
+    buf = np.empty(step * n_vec + (step + m - 1) * x.size)
+    dist2_buf = buf[: step * n_vec].reshape(step, n_vec)
+    sq_buf = buf[step * n_vec :].reshape(step + m - 1, x.size)
+    for first, h in blocks:
+        dist2, sq = dist2_buf[:h], sq_buf[: h + m - 1]
+        _distance_rows(x, first, tau, sq)
+        np.multiply(sq, sq, out=sq)
+        # summed as 0 + col0**2 + col1**2 + ..., where 0 + col0**2 is col0**2
+        # itself: a square is never -0.0
+        np.copyto(dist2, sq[:h, :n_vec])
+        for col in range(1, m):
+            np.add(dist2, sq[col : col + h, col * tau : col * tau + n_vec], out=dist2)
+        # Theiler band |i - j| <= window
+        for k, i in enumerate(range(first, first + h * tau, tau)):
+            dist2[k, max(0, i - window) : i + window + 1] = np.inf
+        dist2[dist2 == 0.0] = np.inf
+        nn_block = np.argmin(dist2, axis=1)
+        nn[first : first + h * tau : tau] = nn_block
+        valid[first : first + h * tau : tau] = np.isfinite(dist2[np.arange(h), nn_block])
+    return nn, valid
+
+
 def lyapunov_rosenstein(
     values,
     params: EmbeddingParams,
@@ -253,24 +314,7 @@ def lyapunov_rosenstein(
             f"fit range [{fit_start}, {fit_stop}] must sit inside [0, {k_max}]"
         )
 
-    vecs = _delay_matrix(x, tau, m)
-    nn = np.empty(n_vec, dtype=np.intp)
-    valid = np.empty(n_vec, dtype=bool)
-    step, blocks = _row_blocks(n_vec, n_vec)
-    dist2_buf = np.empty((step, n_vec))
-    diff_buf = np.empty((step, n_vec))
-    for a, b in blocks:
-        dist2, diff = dist2_buf[: b - a], diff_buf[: b - a]
-        dist2.fill(0.0)  # summed as 0 + col0**2 + col1**2 + ...
-        for col in range(m):
-            np.subtract(vecs[a:b, col][:, None], vecs[:, col][None, :], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(dist2, diff, out=dist2)
-        for i in range(a, b):  # Theiler band |i - j| <= window
-            dist2[i - a, max(0, i - window) : i + window + 1] = np.inf
-        dist2[dist2 == 0.0] = np.inf
-        nn[a:b] = np.argmin(dist2, axis=1)
-        valid[a:b] = np.isfinite(dist2[np.arange(b - a), nn[a:b]])
+    nn, valid = _rosenstein_neighbors(x, tau, m, window)
     if not np.any(valid):
         raise NoValidPairsError(
             "no neighbor pairs outside the Theiler window at nonzero distance"
@@ -278,6 +322,7 @@ def lyapunov_rosenstein(
     base = np.flatnonzero(valid)
     mates = nn[base]
 
+    vecs = _delay_matrix(x, tau, m)
     divergence = np.full(k_max + 1, np.nan)
     for k in range(k_max + 1):
         alive = (base + k < n_vec) & (mates + k < n_vec)
@@ -302,6 +347,57 @@ def lyapunov_rosenstein(
         fit_stop=fit_stop,
         n_pairs=int(base.size),
     )
+
+
+def _cao_neighbors(
+    x: np.ndarray, tau: int, max_dim: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each delay vector's nearest strictly positive Chebyshev neighbor and
+    its distance, per dimension d = 1..max_dim+1 at list position d-1, for
+    the vectors i < n - d*tau that still exist in dimension d+1. The
+    distance is not finite where a vector has no such neighbor."""
+    n = x.size
+    dims = range(1, max_dim + 2)
+    nns = [np.empty(n - d * tau, dtype=np.intp) for d in dims]
+    dens = [np.empty(n - d * tau) for d in dims]
+    step, blocks = _row_blocks(n - tau, n, tau, max_dim)
+    dist_buf = np.empty((step, n))
+    row_buf = np.empty((step + max_dim, n))
+    block_rows = np.arange(step)
+    for first, h_block in blocks:
+        # Chebyshev distances of the block's rows i start at dimension 1 and
+        # gain one coordinate per step:
+        # D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|), the gap
+        # being row k + d of the shared 1-D rows for the block's row k.
+        # Each row's self-pair is +inf, so argmin never picks the row itself.
+        n_rows = min(h_block + max_dim, len(range(first, n, tau)))
+        dist_rows = row_buf[:n_rows]
+        _distance_rows(x, first, tau, dist_rows)
+        np.abs(dist_rows, out=dist_rows)
+        dist = dist_buf[:h_block]
+        np.copyto(dist, dist_rows[:h_block])
+        dist[block_rows[:h_block], np.arange(first, first + h_block * tau, tau)] = np.inf
+        for d in dims:
+            r = n - d * tau  # vectors that still exist in dimension d+1
+            h = min(h_block, len(range(first, r, tau)))
+            if h == 0:
+                break
+            sub = dist[:h, :r]
+            nn = sub.argmin(axis=1)
+            den = sub[block_rows[:h], nn]
+            # a nearest distance of 0 (a duplicate vector) or NaN: search the
+            # row again for its nearest strictly positive neighbor
+            if not den.min() > 0.0:
+                again = np.flatnonzero(~(den > 0.0))
+                rows = sub[again]
+                masked = np.where(rows > 0.0, rows, np.inf)
+                nn[again] = np.argmin(masked, axis=1)
+                den[again] = masked[np.arange(again.size), nn[again]]
+            nns[d - 1][first : first + h * tau : tau] = nn
+            dens[d - 1][first : first + h * tau : tau] = den
+            if d <= max_dim:
+                np.maximum(sub, dist_rows[d : d + h, d * tau : d * tau + r], out=sub)
+    return nns, dens
 
 
 def cao_min_dimension(
@@ -343,59 +439,21 @@ def cao_min_dimension(
             f"for max_dim {max_dim} at tau {tau}, got {n}"
         )
 
-    # Per-row growth ratios and new-coordinate gaps; position d-1 holds
-    # dimension d = 1..max_dim+1, whose rows i < n - d*tau still exist in
-    # dimension d+1. Averaging each whole array at the end keeps the
-    # summation order of a dense computation.
-    dims = range(1, max_dim + 2)
-    ratios = [np.empty(n - d * tau) for d in dims]
-    gaps = [np.empty(n - d * tau) for d in dims]
-    d_stop = max_dim + 2  # smallest d with a degenerate vector, if any
-    step, blocks = _row_blocks(n - tau, n)
-    dist_buf = np.empty((step, n))
-    gap_buf = np.empty((step, n))
-    for a, b in blocks:
-        # Chebyshev distances of rows a..b-1 start at dimension 1 and gain one
-        # coordinate per step: D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|).
-        # Each row's self-pair is +inf, so argmin never picks the row itself.
-        dist = dist_buf[: b - a]
-        np.subtract(x[a:b, None], x[None, :], out=dist)
-        np.abs(dist, out=dist)
-        dist[np.arange(b - a), np.arange(a, b)] = np.inf
-        for d in range(1, d_stop):
-            r = n - d * tau  # vectors that still exist in dimension d+1
-            hi = min(b, r)
-            if hi <= a:
-                break
-            sub = dist[: hi - a, :r]
-            nn = np.argmin(sub, axis=1)
-            den = sub[np.arange(hi - a), nn]
-            # a nearest distance of 0 (a duplicate vector) or NaN: search the
-            # row again for its nearest strictly positive neighbor
-            again = np.flatnonzero(~(den > 0.0))
-            if again.size:
-                rows = sub[again]
-                masked = np.where(rows > 0.0, rows, np.inf)
-                nn[again] = np.argmin(masked, axis=1)
-                den[again] = masked[np.arange(again.size), nn[again]]
-            if not np.all(np.isfinite(den)):
-                d_stop = d
-                break
-            shifted = x[d * tau : d * tau + r]
-            new_gap = np.abs(shifted[a:hi] - shifted[nn])
-            ratios[d - 1][a:hi] = np.maximum(den, new_gap) / den
-            gaps[d - 1][a:hi] = new_gap
-            if d <= max_dim:
-                gap = gap_buf[: hi - a, :r]
-                np.subtract(shifted[a:hi, None], shifted[None, :], out=gap)
-                np.abs(gap, out=gap)
-                np.maximum(sub, gap, out=sub)
-    if d_stop <= max_dim + 1:
-        raise DegenerateNeighborsError(
-            f"a dimension-{d_stop} vector has only zero-distance neighbors"
-        )
-    e_growth = np.array([np.mean(v) for v in ratios])  # E(d)
-    e_newcoord = np.array([np.mean(v) for v in gaps])  # E*(d)
+    nns, dens = _cao_neighbors(x, tau, max_dim)
+
+    # E(d) averages each row's growth ratio, E*(d) its new-coordinate gap,
+    # over whole arrays in row order, as a dense computation would.
+    e_growth = np.empty(max_dim + 1)
+    e_newcoord = np.empty(max_dim + 1)
+    for d, (nn, den) in enumerate(zip(nns, dens), start=1):
+        if not np.all(np.isfinite(den)):
+            raise DegenerateNeighborsError(
+                f"a dimension-{d} vector has only zero-distance neighbors"
+            )
+        shifted = x[d * tau :]
+        new_gap = np.abs(shifted[: den.size] - shifted[nn])
+        e_growth[d - 1] = np.mean(np.maximum(den, new_gap) / den)
+        e_newcoord[d - 1] = np.mean(new_gap)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         e1 = e_growth[1:] / e_growth[:-1]

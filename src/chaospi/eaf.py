@@ -54,13 +54,21 @@ class AttainmentSurface:
     vertices: np.ndarray  # (n, 2), f1 strictly increasing, f2 strictly decreasing
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` for finite floats, by
+    the same in-place sort and first-of-each-run pick, so the signed zero
+    kept is the same, without ``np.unique``'s import of ``numpy.ma``."""
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def attainment_surface(ensemble: FrontEnsemble, level: int) -> AttainmentSurface:
     """Exact level-``level`` attainment surface of the ensemble."""
     n = ensemble.n_runs
     if not 1 <= level <= n:
         raise InvalidLevelError(f"level must lie in [1, {n}], got {level}")
 
-    xs = np.unique(np.concatenate([f[:, 0] for f in ensemble.fronts]))
+    xs = _distinct_sorted(np.concatenate([f[:, 0] for f in ensemble.fronts]))
     # best_f2[r] tracks run r's lowest f2 among points with f1 <= current x
     best_f2 = np.full(n, np.inf)
     vertices: list[tuple[float, float]] = []

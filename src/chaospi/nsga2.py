@@ -33,6 +33,7 @@ the same arrays in another order, changes the results of every seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -149,8 +150,9 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     """Crowding distances for one front given as an (n, 2) objective array.
 
     Boundary points get infinity; interior points sum normalized gaps
-    between their sorted neighbors per objective. An objective with zero
-    range contributes nothing.
+    between their sorted neighbors per objective. An objective whose range
+    is not finite and positive (all equal, or an infinite or NaN extreme)
+    contributes nothing to them.
     """
     objs = np.asarray(objs, dtype=float)
     n = objs.shape[0]
@@ -160,10 +162,11 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
         return dist
     for j in range(objs.shape[1]):
         order = np.argsort(objs[:, j], kind="stable")
-        spread = objs[order[-1], j] - objs[order[0], j]
+        # Python floats: inf - inf is NaN here without a RuntimeWarning
+        spread = float(objs[order[-1], j]) - float(objs[order[0], j])
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        if spread > 0:
+        if 0.0 < spread < math.inf:
             gaps = (objs[order[2:], j] - objs[order[:-2], j]) / spread
             dist[order[1:-1]] += gaps
     return dist

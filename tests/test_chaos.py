@@ -264,8 +264,12 @@ class TestBlockedNeighborSearch:
     N = 200  # a multiple of none of the block heights below
 
     @staticmethod
-    def set_block_rows(monkeypatch, rows, n_cols):
-        monkeypatch.setattr(chaos, "_BLOCK_ELEMS", rows * n_cols)
+    def set_block_rows(monkeypatch, rows, n_cols, extra):
+        """Blocks of ``rows`` rows for a search whose shared row buffer
+        holds ``extra`` rows more than a block (``None``: the default)."""
+        if rows is not None:
+            monkeypatch.setattr(chaos, "_BLOCK_ELEMS", (rows + (extra + 1) // 2) * n_cols)
+            assert chaos._row_blocks(n_cols, n_cols, 1, extra)[0] == rows
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("tau", [1, 2, 3])
@@ -276,24 +280,47 @@ class TestBlockedNeighborSearch:
         if quantized:
             x = np.round(x, 1)
         m_full, e1_full, e2_full = cao_min_dimension(x, tau, max_dim=8)
-        self.set_block_rows(monkeypatch, rows, self.N)
+        self.set_block_rows(monkeypatch, rows, self.N, 8)
         m, e1, e2 = cao_min_dimension(x, tau, max_dim=8)
         e1_dense, e2_dense = dense_cao(x, tau, max_dim=8)
         assert np.array_equal(e1, e1_dense) and np.array_equal(e2, e2_dense)
         assert np.array_equal(e1_full, e1_dense) and np.array_equal(e2_full, e2_dense)
         assert m == m_full
 
+    # tau 5 spreads the rows over more residue classes than a block has
+    # rows; at tau 40 a class (4 rows) is shorter than most blocks
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("tau, max_dim", [(5, 4), (40, 3)])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_cao_matches_dense_at_long_delays(self, monkeypatch, rows, tau, max_dim, quantized):
+        x = henon_x(self.N)
+        if quantized:
+            x = np.round(x, 1)
+        self.set_block_rows(monkeypatch, rows, self.N, max_dim)
+        _, e1, e2 = cao_min_dimension(x, tau, max_dim)
+        e1_dense, e2_dense = dense_cao(x, tau, max_dim)
+        assert np.array_equal(e1, e1_dense) and np.array_equal(e2, e2_dense)
+
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("tau", [1, 2, 3])
     @pytest.mark.parametrize("window", [None, 0, 10])
     @pytest.mark.parametrize("quantized", [False, True])
     def test_rosenstein_matches_dense(self, monkeypatch, rows, tau, window, quantized):
+        self.check_rosenstein(monkeypatch, rows, tau, 3, window, quantized)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("tau, m", [(5, 1), (5, 3), (40, 2)])
+    @pytest.mark.parametrize("window", [0, 10])
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_rosenstein_matches_dense_at_long_delays(self, monkeypatch, rows, tau, m, window, quantized):
+        self.check_rosenstein(monkeypatch, rows, tau, m, window, quantized)
+
+    def check_rosenstein(self, monkeypatch, rows, tau, m, window, quantized):
         x = henon_x(self.N)
         if quantized:
             x = np.round(x, 1)
-        m = 3
         n_vec = self.N - (m - 1) * tau
-        self.set_block_rows(monkeypatch, rows, n_vec)
+        self.set_block_rows(monkeypatch, rows, self.N, m - 1)
         est = lyapunov_rosenstein(x, EmbeddingParams(tau=tau, m=m), RosensteinOptions(theiler_window=window))
         k_max = min(50, n_vec // 10)
         slope, divergence, n_pairs = dense_rosenstein(
@@ -312,13 +339,12 @@ class TestBlockedNeighborSearch:
         x = henon_x(self.N)
         x[150] = x[40]
         x[150 + tau] = x[40 + tau] + 1e-9
-        if rows is not None:
-            self.set_block_rows(monkeypatch, rows, self.N)
+        self.set_block_rows(monkeypatch, rows, self.N, 8)
         _, e1, e2 = cao_min_dimension(x, tau, max_dim=8)
         e1_dense, e2_dense = dense_cao(x, tau, max_dim=8)
         assert np.array_equal(e1, e1_dense) and np.array_equal(e2, e2_dense)
 
-    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize(
         "x, tau, max_dim",
         [
@@ -326,11 +352,17 @@ class TestBlockedNeighborSearch:
             # distinct values in dimension 1; the two dimension-2 vectors
             # (x[0], x[3]) and (x[1], x[4]) coincide
             (np.array([0.0, 0.0, 1.0, 5.0, 5.0, 2.0, 3.0, 4.0]), 3, 1),
+            (np.ones(100), 5, 2),
+            # every dimension-2 vector has a positive-distance neighbor; the
+            # two dimension-3 vectors (x[0], x[2], x[4]) and (x[1], x[3], x[5])
+            # coincide, one from each residue class mod 2
+            (np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 7.0, 9.0]), 2, 2),
         ],
     )
     def test_degenerate_error_names_smallest_dimension(self, monkeypatch, rows, x, tau, max_dim):
         d = dense_cao(x, tau, max_dim)
-        self.set_block_rows(monkeypatch, rows, x.size)
+        assert d == {1: 1, 3: 2, 5: 1, 2: 3}[tau]
+        self.set_block_rows(monkeypatch, rows, x.size, max_dim)
         with pytest.raises(DegenerateNeighborsError, match=f"dimension-{d} vector"):
             cao_min_dimension(x, tau, max_dim)
 

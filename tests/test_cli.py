@@ -633,3 +633,24 @@ def test_fuzzed_config_exits_cleanly(fuzz_csv, command, drawn):
                            "--out", os.path.join(tmp, "out")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_experiment_does_not_import_numpy_ma(tmp_path, series_csv):
+    # np.unique imports numpy.ma on its first call (numpy 2.x), a cost the
+    # EAF sweep has no use for
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if loaded.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    out = tmp_path / "out"
+    run = ("import sys; from chaospi import cli; rc = cli.main(sys.argv[1:]); "
+           "print('numpy.ma' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "experiment", "--input", str(series_csv),
+         "--config", str(write_config(tmp_path)), "--seeds", "1,2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.glob("eaf_*.csv"))
+    assert proc.stdout.splitlines()[-1] == "False"

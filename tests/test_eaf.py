@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chaospi import eaf
 from chaospi.eaf import AttainmentSurface, FrontEnsemble, attainment_surface, standard_levels
 from chaospi.errors import EmptyFrontError, InvalidLevelError
 from helpers import attained_count, surface_value
@@ -115,3 +116,18 @@ def test_level_monotonicity_on_random_ensembles():
         for x in np.linspace(-0.1, 1.1, 25):
             assert surface_value(best, x) <= surface_value(median, x)
             assert surface_value(median, x) <= surface_value(worst, x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distinct_first_objectives_match_np_unique(seed):
+    # ties and both signed zeros: the vertex keeps whichever zero np.unique
+    # would have kept, so written surfaces do not change
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=40)
+    expected = np.unique(values)
+    got = eaf._distinct_sorted(values.copy())
+    assert got.tolist() == expected.tolist()
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    fronts = [np.column_stack([values[i::4], rng.uniform(size=10)]) for i in range(4)]
+    vertices = attainment_surface(FrontEnsemble(fronts), 1).vertices
+    assert np.signbit(vertices[0, 0]) == np.signbit(expected[0])

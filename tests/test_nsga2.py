@@ -1,6 +1,8 @@
 """Engine tests: sorting against a brute-force oracle, operator behavior,
 and the run loop's determinism and selection invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,8 +79,7 @@ def test_non_finite_rows_are_each_placed_once(objs):
     rows = np.concatenate(nondominated_fronts(objs))
     assert sorted(rows.tolist()) == list(range(n))
     for pop_size in range(1, n + 1):
-        with np.errstate(invalid="ignore"):  # crowding gaps of inf - inf
-            keep, rank, crowding = _select_next(objs, pop_size)
+        keep, rank, crowding = _select_next(objs, pop_size)
         assert keep.size == rank.size == crowding.size == pop_size
         assert np.unique(keep).size == pop_size
 
@@ -121,6 +122,25 @@ def test_crowding_ignores_flat_objective():
     d = crowding_distance(np.array([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]))
     assert d[1] == pytest.approx(1.0)
     assert np.all(np.isfinite(d[1:2]))
+
+
+@pytest.mark.parametrize(
+    "objs, interior",
+    [
+        ([(0, np.inf), (1, 3), (2, 1), (np.inf, 0)], [0.0, 0.0]),
+        ([(-np.inf, 2), (1, 1), (3, 0)], [1.0]),
+        ([(np.inf, np.inf)] * 3, [0.0]),
+        ([(0, np.nan), (1, 2), (np.nan, 1)], [0.0]),
+    ],
+)
+def test_crowding_skips_objectives_without_finite_spread(objs, interior):
+    # such an objective adds nothing to the interior points, instead of the
+    # NaN of inf / inf or inf - inf and its RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = crowding_distance(np.array(objs, dtype=float))
+    assert np.isinf(d[0]) and np.isinf(d[-1])
+    assert d[1:-1].tolist() == interior
 
 
 def test_tournament_prefers_rank_then_crowding():
