@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, each with the outputs it owns in its ``--out`` directory:
 
-* ``analyze`` -- chaos diagnostics only; writes ``chaos.json`` plus
-  ``divergence.csv`` and (unless the dimension was forced) ``cao.csv``.
-* ``intervals`` -- one seeded model run; writes ``report.json`` and
-  ``intervals.csv`` (test rows) plus ``chaos.json``.
-* ``experiment`` -- the same model across many seeds; writes ``report.json``,
-  ``chaos.json``, per-seed fronts under ``fronts/seed_<s>.csv``, and
-  best/median/worst attainment surfaces as ``eaf_<level>.csv``.
-* ``eaf`` -- recompute attainment surfaces from previously saved front CSVs.
+* ``analyze`` -- chaos diagnostics only: ``chaos.json``, ``divergence.csv``
+  (unless divergence tracking failed) and ``cao.csv`` (unless the dimension
+  was forced).
+* ``intervals`` -- one seeded model run: the ``analyze`` files plus
+  ``report.json`` and ``intervals.csv`` (test rows).
+* ``experiment`` -- the same model across many seeds: the ``analyze`` files
+  plus ``report.json``, ``failures.json`` (when a seed failed), per-seed
+  fronts under ``fronts/seed_<s>.csv`` and best/median/worst attainment
+  surfaces as ``eaf_{best,median,worst}.csv`` (when a seed succeeded).
+* ``eaf`` -- attainment surfaces recomputed from previously saved front
+  CSVs: ``eaf_{best,median,worst}.csv``.
 
 The JSON config takes the scalar fields of the config dataclasses, which own
 every default, plus the run-setup keys in ``_SETUP_KEYS``; the top-level
@@ -20,10 +23,8 @@ Exit codes: 0 on success, 1 on any domain or configuration error, 2 on an
 operating-system I/O failure. Outputs are plain JSON/CSV written with
 deterministic formatting, so re-running a command with identical inputs and
 configuration reproduces files byte for byte. A command run into a reused
-output directory deletes the files it owns there but did not write this time
-(a Cao curve for a forced dimension, fronts of seeds outside this run,
-surfaces when no seed succeeded, ``failures.json`` when none failed), so the
-directory holds only this run's outputs.
+output directory deletes the files it owns there but did not write this time,
+so of those it holds only this run's; other files are left alone.
 """
 
 from __future__ import annotations
@@ -47,10 +48,21 @@ from . import pipeline
 from .chaos import AnalyzeOptions, ChaosReport, RosensteinOptions, analyze
 from .errors import ChaospiError, ConfigError, EmptyFrontError
 from .nsga2 import NsgaParams
-from .pipeline import ExperimentReport, PipelineConfig, RunResult
+from .pipeline import PipelineConfig
 from .series import TimeSeries, load_series
 
 _FRONT_CSV = re.compile(r"seed_(-?\d+)\.csv")
+_CHAOS_FILES = r"chaos\.json|divergence\.csv|cao\.csv"
+_EAF_FILES = r"eaf_(best|median|worst)\.csv"
+# The outputs each command owns in its --out directory, as a file-name
+# pattern per subdirectory ("" is the directory itself).
+_OWNED = {
+    "analyze": {"": _CHAOS_FILES},
+    "intervals": {"": rf"{_CHAOS_FILES}|report\.json|intervals\.csv"},
+    "experiment": {"": rf"{_CHAOS_FILES}|report\.json|failures\.json|{_EAF_FILES}",
+                   "fronts": _FRONT_CSV.pattern},
+    "eaf": {"": _EAF_FILES},
+}
 
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
@@ -130,26 +142,34 @@ def _write_file(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _remove_stale(path: str) -> None:
-    """Delete an output this run did not write, left by an earlier run."""
-    with suppress(FileNotFoundError):
-        os.remove(path)
+def _publish(out: str, command: str, files: dict[str, str]) -> None:
+    """Write ``files`` (path relative to ``out`` -> text) into ``out``, then
+    delete the outputs ``command`` owns there that this run did not write."""
+    owned = _OWNED[command]
+    for folder in owned:
+        os.makedirs(os.path.join(out, folder), exist_ok=True)
+    for rel, text in files.items():
+        _write_file(os.path.join(out, rel), text)
+    for folder, pattern in owned.items():
+        for name in os.listdir(os.path.join(out, folder)):
+            rel = f"{folder}/{name}" if folder else name
+            if re.fullmatch(pattern, name) and rel not in files:
+                with suppress(FileNotFoundError):
+                    os.remove(os.path.join(out, rel))
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_file(path, text + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-        )
-    _write_file(path, buf.getvalue())
+    writer.writerows(
+        [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+    )
+    return buf.getvalue()
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -276,49 +296,57 @@ def _read_input(meta: dict) -> TimeSeries:
     return load_series(meta["input"], column=meta["column"])
 
 
-def _chaos_payload(report: ChaosReport) -> dict:
-    return {
-        "lambda": report.lyapunov,
-        "tau": report.tau,
-        "m": report.m,
-        "chaotic": report.chaotic,
+def _chaos_summary(report: ChaosReport) -> dict:
+    """The embedding and exponent keys of every JSON output."""
+    return {"tau": report.tau, "m": report.m, "lambda": report.lyapunov,
+            "chaotic": report.chaotic}
+
+
+def _chaos_files(report: ChaosReport) -> dict[str, str]:
+    payload = {
+        **_chaos_summary(report),
         "e1_curve": report.e1_curve,
         "e2_curve": report.e2_curve,
         "divergence_curve": report.divergence_curve,
     }
-
-
-def _write_chaos(out: str, report: ChaosReport) -> None:
-    _write_json(os.path.join(out, "chaos.json"), _chaos_payload(report))
-    divergence_path = os.path.join(out, "divergence.csv")
+    files = {"chaos.json": _json_text(payload)}
     if report.divergence_curve is not None:
-        rows = [
-            [k, float(v)]
-            for k, v in enumerate(report.divergence_curve)
-            if math.isfinite(float(v))
-        ]
-        _write_csv(divergence_path, ["k", "mean_log_distance"], rows)
-    else:
-        _remove_stale(divergence_path)
-    cao_path = os.path.join(out, "cao.csv")
+        rows = [[k, v] for k, v in enumerate(report.divergence_curve) if math.isfinite(v)]
+        files["divergence.csv"] = _csv_text(["k", "mean_log_distance"], rows)
     if report.e1_curve is not None and report.e2_curve is not None:
-        rows = [
-            [d + 1, float(e1), float(e2)]
-            for d, (e1, e2) in enumerate(zip(report.e1_curve, report.e2_curve))
-        ]
-        _write_csv(cao_path, ["d", "e1", "e2"], rows)
-    else:
-        _remove_stale(cao_path)
+        rows = [[d + 1, e1, e2] for d, (e1, e2) in enumerate(zip(report.e1_curve, report.e2_curve))]
+        files["cao.csv"] = _csv_text(["d", "e1", "e2"], rows)
+    return files
 
 
-def _run_payload(result: RunResult) -> dict:
-    payload = {
-        "model": result.model_kind,
+def _eaf_files(fronts: list[np.ndarray]) -> dict[str, str]:
+    ensemble = eaf_mod.FrontEnsemble(fronts)
+    files = {}
+    for name, level in eaf_mod.standard_levels(ensemble.n_runs).items():
+        vertices = eaf_mod.attainment_surface(ensemble, level).vertices
+        rows = [[f1, f2, level] for f1, f2 in vertices]
+        files[f"eaf_{name}.csv"] = _csv_text(["f1", "f2", "level"], rows)
+    return files
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    meta, config = _resolve(args)
+    series = _read_input(meta)
+    report = analyze(series, config.chaos)
+    _publish(meta["out"], "analyze", _chaos_files(report))
+    flag = "chaotic" if report.chaotic else "not chaotic"
+    print(f"tau={report.tau} m={report.m} lambda={report.lyapunov:.6f} ({flag})")
+    return 0
+
+
+def cmd_intervals(args: argparse.Namespace) -> int:
+    meta, config = _resolve(args)
+    series = _read_input(meta)
+    result, chaos = pipeline.run_model(series, config, meta["seeds"][0])
+    report = {
+        "model": config.model,
         "seed": result.seed,
-        "tau": result.tau,
-        "m": result.m,
-        "lambda": result.lyapunov,
-        "chaotic": result.chaotic,
+        **_chaos_summary(chaos),
         "coeffs": result.point_model.coeffs,
         "r1": result.interval.r1,
         "r2": result.interval.r2,
@@ -332,62 +360,20 @@ def _run_payload(result: RunResult) -> dict:
         },
         "test": {"picp": result.test.picp, "piaw": result.test.piaw},
     }
-    if result.model_kind == "three_stage_single":
-        payload["r"] = result.interval.r1
-    return payload
-
-
-def _write_intervals_csv(out: str, result: RunResult) -> None:
-    t = result.test
-    labels = t.labels or [""] * t.point.shape[0]
-    rows = [list(r) for r in zip(t.indices.tolist(), labels, t.actual, t.point, t.lower, t.upper)]
-    header = ["index", "date", "actual", "point", "lower", "upper"]
-    _write_csv(os.path.join(out, "intervals.csv"), header, rows)
-
-
-def _write_fronts(out: str, report: ExperimentReport) -> None:
-    front_dir = os.path.join(out, "fronts")
-    os.makedirs(front_dir, exist_ok=True)
-    written = set()
-    for result in report.results:
-        rows = [[float(f1), float(f2)] for f1, f2 in result.front]
-        name = f"seed_{result.seed}.csv"
-        _write_csv(os.path.join(front_dir, name), ["f1", "f2"], rows)
-        written.add(name)
-    for name in os.listdir(front_dir):
-        if _FRONT_CSV.fullmatch(name) and name not in written:
-            _remove_stale(os.path.join(front_dir, name))
-
-
-def _write_eaf(out: str, fronts: list[np.ndarray]) -> None:
-    ensemble = eaf_mod.FrontEnsemble(fronts)
-    for name, level in eaf_mod.standard_levels(ensemble.n_runs).items():
-        surface = eaf_mod.attainment_surface(ensemble, level)
-        rows = [[float(f1), float(f2), level] for f1, f2 in surface.vertices]
-        _write_csv(os.path.join(out, f"eaf_{name}.csv"), ["f1", "f2", "level"], rows)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    meta, config = _resolve(args)
-    series = _read_input(meta)
-    report = analyze(series, config.chaos)
-    os.makedirs(meta["out"], exist_ok=True)
-    _write_chaos(meta["out"], report)
-    flag = "chaotic" if report.chaotic else "not chaotic"
-    print(f"tau={report.tau} m={report.m} lambda={report.lyapunov:.6f} ({flag})")
-    return 0
-
-
-def cmd_intervals(args: argparse.Namespace) -> int:
-    meta, config = _resolve(args)
-    series = _read_input(meta)
-    result, chaos = pipeline.run_model(series, config, meta["seeds"][0])
-    os.makedirs(meta["out"], exist_ok=True)
-    _write_json(os.path.join(meta["out"], "report.json"), _run_payload(result))
-    _write_intervals_csv(meta["out"], result)
-    _write_chaos(meta["out"], chaos)
+    if config.model == "three_stage_single":
+        report["r"] = result.interval.r1
+    # the test rows are the series' last test_horizon positions
+    t, n, k = result.test, series.values.size, config.test_horizon
+    labels = series.labels[n - k:] if series.labels else [""] * k
+    rows = zip(range(n - k, n), labels, t.actual, t.point, t.lower, t.upper)
+    files = {
+        "report.json": _json_text(report),
+        "intervals.csv": _csv_text(["index", "date", "actual", "point", "lower", "upper"], rows),
+        **_chaos_files(chaos),
+    }
+    _publish(meta["out"], "intervals", files)
     print(
-        f"{result.model_kind} seed={result.seed}: "
+        f"{config.model} seed={result.seed}: "
         f"test picp={result.test.picp:.4f} piaw={result.test.piaw:.4f}"
     )
     return 0
@@ -398,15 +384,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     series = _read_input(meta)
     seeds = meta["seeds"]
     report = pipeline.run_experiment(series, config, seeds, workers=meta["workers"])
-    out = meta["out"]
-    os.makedirs(out, exist_ok=True)
+    failures = [{"seed": s, "error": msg} for s, msg in report.failures]
     payload = {
-        "model": report.model_kind,
+        "model": config.model,
         "seeds": report.seeds,
-        "tau": report.chaos.tau,
-        "m": report.chaos.m,
-        "lambda": report.chaos.lyapunov,
-        "chaotic": report.chaos.chaotic,
+        **_chaos_summary(report.chaos),
         "picp_mean": report.picp_mean,
         "picp_std": report.picp_std,
         "piaw_mean": report.piaw_mean,
@@ -425,27 +407,24 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             }
             for r in report.results
         ],
-        "failures": [{"seed": s, "error": msg} for s, msg in report.failures],
+        "failures": failures,
         "front_objectives": (
             list(report.results[0].front_objectives) if report.results else None
         ),
     }
-    _write_json(os.path.join(out, "report.json"), payload)
-    _write_chaos(out, report.chaos)
-    _write_fronts(out, report)
+    files = {"report.json": _json_text(payload), **_chaos_files(report.chaos)}
+    for r in report.results:
+        files[f"fronts/seed_{r.seed}.csv"] = _csv_text(["f1", "f2"], r.front)
     if report.results:
-        _write_eaf(out, [r.front for r in report.results])
-    else:
-        for name in eaf_mod.standard_levels(1):  # the names do not depend on the count
-            _remove_stale(os.path.join(out, f"eaf_{name}.csv"))
-    failures_path = os.path.join(out, "failures.json")
-    if report.failures:
-        _write_json(failures_path, {"failures": payload["failures"]})
-        print(f"{len(report.failures)} of {len(seeds)} seeds failed", file=sys.stderr)
+        files.update(_eaf_files([r.front for r in report.results]))
+    if failures:
+        files["failures.json"] = _json_text({"failures": failures})
+    _publish(meta["out"], "experiment", files)
+    if failures:
+        print(f"{len(failures)} of {len(seeds)} seeds failed", file=sys.stderr)
         return 1
-    _remove_stale(failures_path)
     print(
-        f"{report.model_kind} over {len(seeds)} seeds: "
+        f"{config.model} over {len(seeds)} seeds: "
         f"picp {report.picp_mean:.4f} +/- {report.picp_std:.4f}, "
         f"piaw {report.piaw_mean:.4f} +/- {report.piaw_std:.4f}"
     )
@@ -469,8 +448,7 @@ def cmd_eaf(args: argparse.Namespace) -> int:
     if not paths:
         raise EmptyFrontError(f"no seed_<s>.csv files under {front_dir}")
     fronts = [_read_front(path) for _, path in sorted(paths)]
-    os.makedirs(meta["out"], exist_ok=True)
-    _write_eaf(meta["out"], fronts)
+    _publish(meta["out"], "eaf", _eaf_files(fronts))
     print(f"attainment surfaces for {len(fronts)} fronts written to {meta['out']}")
     return 0
 

@@ -6,8 +6,8 @@ coordinates). The level-k attainment surface is the staircase boundary of
 the region attained by at least k of the n runs; level 1 is the best case,
 level ``ceil(n/2)`` the median, level n the worst.
 
-The construction follows the classic sweep: walk the distinct first-objective
-values left to right, maintain each run's best (lowest) second objective so
+The construction follows the classic sweep: on the grid of distinct
+first-objective values, read each run's best (lowest) second objective so
 far, and take the k-th smallest among runs. Every emitted vertex therefore
 uses only coordinates present in the input fronts.
 """
@@ -69,20 +69,22 @@ def attainment_surface(ensemble: FrontEnsemble, level: int) -> AttainmentSurface
         raise InvalidLevelError(f"level must lie in [1, {n}], got {level}")
 
     xs = _distinct_sorted(np.concatenate([f[:, 0] for f in ensemble.fronts]))
-    # best_f2[r] tracks run r's lowest f2 among points with f1 <= current x
-    best_f2 = np.full(n, np.inf)
-    vertices: list[tuple[float, float]] = []
-    last_y = np.inf
-    for x in xs:
-        for r, front in enumerate(ensemble.fronts):
-            at_x = front[front[:, 0] == x, 1]
-            if at_x.size:
-                best_f2[r] = min(best_f2[r], float(at_x.min()))
-        y = float(np.partition(best_f2, level - 1)[level - 1])
-        if math.isfinite(y) and y < last_y:
-            vertices.append((float(x), y))
-            last_y = y
-    return AttainmentSurface(level=level, vertices=np.array(vertices, dtype=float))
+    # best[r, j]: run r's lowest f2 among its points with f1 <= xs[j]
+    best = np.empty((n, xs.size))
+    for r, front in enumerate(ensemble.fronts):
+        order = np.argsort(front[:, 0], kind="stable")
+        f1, f2 = front[order, 0], front[order, 1]
+        starts = np.flatnonzero(np.concatenate(([True], f1[1:] != f1[:-1])))
+        lowest = np.minimum.reduceat(f2, starts)
+        # a tie keeps the value first reached, so the sign of a zero is the
+        # one met first along f1
+        running = np.minimum.accumulate(lowest)
+        drops = np.concatenate(([True], running[1:] < running[:-1]))
+        held = lowest[drops][np.cumsum(drops) - 1]
+        best[r] = np.concatenate(([np.inf], held))[np.searchsorted(f1[starts], xs, side="right")]
+    y = np.partition(best, level - 1, axis=0)[level - 1]
+    vertex = y < np.concatenate(([np.inf], y[:-1]))  # wherever the level drops
+    return AttainmentSurface(level=level, vertices=np.column_stack([xs[vertex], y[vertex]]))
 
 
 def standard_levels(n_runs: int) -> dict[str, int]:

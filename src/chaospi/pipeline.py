@@ -102,14 +102,12 @@ class IntervalSeries:
     lower: np.ndarray
     upper: np.ndarray
     actual: np.ndarray
-    indices: np.ndarray
-    labels: list[str] | None
     picp: float
     piaw: float
 
     def __post_init__(self):
         n = self.point.shape[0]
-        for name in ("lower", "upper", "actual", "indices"):
+        for name in ("lower", "upper", "actual"):
             if getattr(self, name).shape != (n,):
                 raise DimensionMismatchError(f"{name} must align with point forecasts")
         if not np.all(self.lower <= self.upper):
@@ -176,14 +174,10 @@ class PipelineConfig:
 
 @dataclass
 class RunResult:
-    """One seeded end-to-end run of a model."""
+    """One seeded run of ``config.model`` on the chaos report's embedding;
+    its test rows are the series' last ``config.test_horizon`` positions."""
 
-    model_kind: str
     seed: int
-    tau: int
-    m: int
-    lyapunov: float
-    chaotic: bool
     point_model: ArModel
     interval: IntervalParams
     train: IntervalSeries
@@ -203,7 +197,6 @@ class ExperimentReport:
     (seed, message) pairs.
     """
 
-    model_kind: str
     seeds: list[int]
     chaos: ChaosReport
     results: list[RunResult]
@@ -442,15 +435,13 @@ def _stage_seeds(seed: int) -> tuple[int, int]:
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
-def _interval_series(pred, actual, indices, labels, ip: IntervalParams) -> IntervalSeries:
+def _interval_series(pred, actual, ip: IntervalParams) -> IntervalSeries:
     lower, upper = pi_bounds(pred, ip)
     return IntervalSeries(
         point=pred,
         lower=lower,
         upper=upper,
         actual=actual,
-        indices=indices,
-        labels=labels,
         picp=metrics.picp(actual, lower, upper),
         piaw=metrics.piaw(lower, upper),
     )
@@ -497,9 +488,6 @@ def _run_seeded(
     if config.standardize:
         pred_all = mu + scale * pred_all
     actual_all = x[data.origin_indices]
-    labels_all = (
-        [series.labels[i] for i in data.origin_indices] if series.labels else None
-    )
     pred_tr, pred_te = pred_all[:n_train], pred_all[n_train:]
     act_tr, act_te = actual_all[:n_train], actual_all[n_train:]
     sigma = float(np.std(pred_tr))
@@ -514,20 +502,12 @@ def _run_seeded(
         ip = IntervalParams(r1=float(r[0]), r2=float(r[-1]), sigma=sigma)
         front_objectives = ("neg_picp", "piaw")
 
-    idx_tr, idx_te = data.origin_indices[:n_train], data.origin_indices[n_train:]
-    lab_tr = labels_all[:n_train] if labels_all else None
-    lab_te = labels_all[n_train:] if labels_all else None
     return RunResult(
-        model_kind=config.model,
         seed=seed,
-        tau=emb_params.tau,
-        m=emb_params.m,
-        lyapunov=chaos.lyapunov,
-        chaotic=chaos.chaotic,
         point_model=model,
         interval=ip,
-        train=_interval_series(pred_tr, act_tr, idx_tr, lab_tr, ip),
-        test=_interval_series(pred_te, act_te, idx_te, lab_te, ip),
+        train=_interval_series(pred_tr, act_tr, ip),
+        test=_interval_series(pred_te, act_te, ip),
         train_smape=metrics.smape(act_tr, pred_tr),
         train_ds=metrics.directional_symmetry(act_tr, pred_tr),
         front=front,
@@ -539,7 +519,7 @@ def run_model(
     series: TimeSeries, config: PipelineConfig, seed: int = 0
 ) -> tuple[RunResult, ChaosReport]:
     """Run ``config.model`` once with run seed ``seed``; also hand back the
-    chaos report so callers can serialize its curves."""
+    chaos report, which holds the run's embedding and exponent."""
     chaos = analyze(series, config.chaos)
     return _run_seeded(series, config, chaos, seed), chaos
 
@@ -574,6 +554,9 @@ def run_experiment(
     repeated = [s for s, c in Counter(seeds).items() if c > 1]
     if repeated:
         raise ConfigError(f"seed {repeated[0]} appears more than once in the seed list")
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"run seeds must be non-negative, got {negative[0]}")
     chaos = analyze(series, config.chaos)
     job = partial(_seed_outcome, series, config, chaos)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -595,7 +578,6 @@ def run_experiment(
         piaws = np.array([r.test.piaw for r in results])
         stats = [float(v) for v in (picps.mean(), picps.std(), piaws.mean(), piaws.std())]
     return ExperimentReport(
-        model_kind=config.model,
         seeds=list(seeds),
         chaos=chaos,
         results=results,

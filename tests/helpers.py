@@ -88,6 +88,31 @@ def attained_count(ensemble, point):
     )
 
 
+def reference_attainment_surface(ensemble, level):
+    """Level-``level`` staircase vertices from the direct sweep: at each
+    distinct f1 value, update every run's lowest f2 so far (only a strictly
+    lower value replaces it), then take the level-th smallest among runs.
+
+    The x-by-run loop form of ``eaf.attainment_surface``, kept as an oracle
+    for the vectorised one.
+    """
+    n = ensemble.n_runs
+    xs = np.unique(np.concatenate([f[:, 0] for f in ensemble.fronts]))
+    best_f2 = np.full(n, np.inf)
+    vertices = []
+    last_y = np.inf
+    for x in xs:
+        for r, front in enumerate(ensemble.fronts):
+            at_x = front[front[:, 0] == x, 1]
+            if at_x.size:
+                best_f2[r] = min(best_f2[r], float(at_x.min()))
+        y = float(np.partition(best_f2, level - 1)[level - 1])
+        if math.isfinite(y) and y < last_y:
+            vertices.append((float(x), y))
+            last_y = y
+    return np.array(vertices, dtype=float)
+
+
 def surface_value(surface, x):
     """Evaluate a staircase at ``x``: the lowest f2 attained with f1 <= x."""
     v = surface.vertices

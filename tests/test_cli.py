@@ -245,6 +245,66 @@ def test_reused_out_dir_drops_surfaces_and_failures_of_earlier_runs(tmp_path, se
     assert {"eaf_best.csv", "eaf_median.csv", "eaf_worst.csv"} <= set(os.listdir(out))
 
 
+def _tree(root):
+    """Each file under ``root`` by relative path: (bytes, inode). A file
+    written again gets a new inode, since writes rename a new file over it."""
+    return {
+        str(p.relative_to(root)): (p.read_bytes(), p.stat().st_ino)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_commands_keep_each_others_files_in_a_shared_out_dir(tmp_path, series_csv):
+    cfg = write_config(tmp_path)
+    common = ["--input", str(series_csv), "--config", str(cfg)]
+    out = tmp_path / "shared"
+    assert cli.main(["experiment", *common, "--seeds", "0,1", "--out", str(out)]) == 0
+    experiment = _tree(out)
+    eaf_names = {"eaf_best.csv", "eaf_median.csv", "eaf_worst.csv"}
+    assert eaf_names | {"fronts/seed_0.csv", "fronts/seed_1.csv"} <= set(experiment)
+
+    # eaf rewrites its surfaces, to the same bytes, and nothing else
+    assert cli.main(["eaf", "--input", str(out), "--out", str(out)]) == 0
+    after = _tree(out)
+    assert set(after) == set(experiment)
+    for name, (data, inode) in after.items():
+        assert data == experiment[name][0]
+        assert (inode != experiment[name][1]) == (name in eaf_names), name
+
+    # intervals replaces the shared report and chaos files, keeps the rest
+    assert cli.main(["intervals", *common, "--out", str(out)]) == 0
+    after = _tree(out)
+    assert set(after) == set(experiment) | {"intervals.csv"}
+    for name in [n for n in experiment if n.startswith(("fronts/", "eaf_"))]:
+        assert after[name][0] == experiment[name][0]
+
+    # analyze into an intervals directory keeps the run's report and rows
+    run = tmp_path / "run"
+    assert cli.main(["intervals", *common, "--out", str(run)]) == 0
+    before = _tree(run)
+    assert cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                     "--out", str(run)]) == 0
+    after = _tree(run)
+    assert set(after) == set(before)
+    for name in ("report.json", "intervals.csv"):
+        assert after[name] == before[name]
+
+
+def test_intervals_rows_are_the_series_last_positions(tmp_path, series_csv):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, tau=2, m=3)
+    assert cli.main(["intervals", "--input", str(series_csv), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["tau"], report["m"]) == (2, 3)
+    rows = read_csv(out / "intervals.csv")[1:]
+    values = ar2_values(n=70, seed=33)
+    assert [int(r[0]) for r in rows] == list(range(65, 70))
+    assert [r[1] for r in rows] == [f"2014-{i:03d}" for i in range(65, 70)]
+    assert [float(r[2]) for r in rows] == values[65:].tolist()
+
+
 def test_flag_overrides_config_file(tmp_path, series_csv):
     cfg = write_config(tmp_path)  # horizon 5 in the file
     out = tmp_path / "out"
@@ -413,6 +473,17 @@ def test_repeated_seeds_exit_one_and_write_nothing(tmp_path, series_csv, capsys,
                    *flags, "--out", str(out)])
     assert rc == 1
     assert "seed 3 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, flags", [({}, ["--seeds=-1,2"]), ({"seeds": [-1, 2]}, [])])
+def test_negative_seeds_exit_one_and_write_nothing(tmp_path, series_csv, capsys, config, flags):
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    rc = cli.main(["experiment", "--input", str(series_csv), "--config", str(cfg),
+                   *flags, "--out", str(out)])
+    assert rc == 1
+    assert "run seeds must be non-negative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaospi import eaf
 from chaospi.eaf import AttainmentSurface, FrontEnsemble, attainment_surface, standard_levels
 from chaospi.errors import EmptyFrontError, InvalidLevelError
-from helpers import attained_count, surface_value
+from helpers import attained_count, reference_attainment_surface, surface_value
 
 THREE_RUNS = [
     np.array([[1.0, 3.0], [3.0, 1.0]]),
@@ -131,3 +133,29 @@ def test_distinct_first_objectives_match_np_unique(seed):
     fronts = [np.column_stack([values[i::4], rng.uniform(size=10)]) for i in range(4)]
     vertices = attainment_surface(FrontEnsemble(fronts), 1).vertices
     assert np.signbit(vertices[0, 0]) == np.signbit(expected[0])
+
+
+# A small pool of coordinates, so that points tie within a run and f1
+# values repeat across runs; both signed zeros are in it.
+_COORDS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.5]) | st.floats(-2.0, 2.0)
+_FRONTS = st.lists(
+    st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=12),
+    min_size=1,
+    max_size=6,
+)
+# a run whose points all share f1 = 0 and carry mixed zeros in f2, long
+# enough that numpy takes their minimum with its vectorised loop
+_MIXED_ZEROS = [(0.0, z) for z in (-0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fronts=_FRONTS)
+@example(fronts=[_MIXED_ZEROS, [(-0.0, 0.0), (1.0, -0.0)], [(0.0, -0.0), (1.0, 0.0)]])
+@example(fronts=[[(1.0, 0.0), (2.0, -0.0)], [(2.0, 0.0)], [(-0.0, 1.0), (0.0, 0.5)]])
+def test_surface_matches_the_direct_sweep_bit_for_bit(fronts):
+    e = FrontEnsemble([np.array(f, dtype=float) for f in fronts])
+    for level in range(1, e.n_runs + 1):
+        got = attainment_surface(e, level).vertices
+        expected = reference_attainment_surface(e, level)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -444,8 +444,11 @@ class TestSeededRuns:
         return run_model(series, small_config(**kw), seed)[0]
 
     def test_two_stage_run_is_internally_consistent(self):
-        result = self.run(self.series)
-        assert result.model_kind == "two_stage"
+        config = small_config()
+        result, chaos = run_model(self.series, config, 0)
+        assert config.model == "two_stage"
+        assert (chaos.tau, chaos.m) == (1, 2)
+        assert result.point_model.params == EmbeddingParams(chaos.tau, chaos.m)
         assert result.front_objectives == ("smape", "neg_ds")
         assert len(result.test.point) == 6
         assert len(result.train.point) == 120 - 2 - 6
@@ -457,26 +460,29 @@ class TestSeededRuns:
         assert result.train.piaw == pytest.approx(
             (result.interval.r1 + result.interval.r2) * result.interval.sigma, abs=1e-12
         )
-        pred = ar_predict(result.point_model, reconstruct(self.series, EmbeddingParams(1, 2)).inputs)
+        inputs = reconstruct(self.series, result.point_model.params).inputs
+        pred = ar_predict(result.point_model, inputs)
         assert result.interval.sigma == pytest.approx(float(np.std(pred[: len(result.train.point)])), abs=1e-12)
         assert result.train_smape == pytest.approx(
             smape(result.train.actual, result.train.point), abs=1e-12
         )
 
-        # labels and indices line up with the source series
-        assert result.test.labels == self.series.labels[-6:]
-        assert np.array_equal(result.test.indices, np.arange(114, 120))
+        # the test rows are the series' last test_horizon observations
+        assert np.array_equal(result.test.actual, self.series.values[-6:])
         assert np.all(result.test.lower <= result.test.point)
         assert np.all(result.test.point <= result.test.upper)
 
     def test_three_stage_variant_override(self):
-        result = self.run(self.series, model="three_stage_single")
-        assert result.model_kind == "three_stage_single"
+        config = small_config(model="three_stage_single")
+        result, chaos = run_model(self.series, config, 0)
+        assert config.model == "three_stage_single"
+        assert result.point_model.params == EmbeddingParams(chaos.tau, chaos.m)
         assert result.interval.r1 == result.interval.r2
         assert result.front_objectives == ("neg_picp", "piaw")
 
-        dual = self.run(self.series, model="three_stage_dual")
-        assert dual.model_kind == "three_stage_dual"
+        dual, _ = run_model(self.series, small_config(model="three_stage_dual"), 0)
+        assert dual.front_objectives == ("neg_picp", "piaw")
+        assert dual.interval.r1 != dual.interval.r2
         with pytest.raises(ConfigError):
             small_config(model="three_stage_both")
 
@@ -551,6 +557,14 @@ class TestExperiment:
     def test_repeated_seed_is_rejected(self):
         with pytest.raises(ConfigError, match="seed 3 appears more than once"):
             run_experiment(self.series, self.config, [1, 3, 2, 3])
+
+    def test_negative_seed_is_rejected_before_any_work(self, monkeypatch):
+        def no_analysis(*args):
+            raise AssertionError("the chaos analysis ran")
+
+        monkeypatch.setattr(pipeline, "analyze", no_analysis)
+        with pytest.raises(ConfigError, match="run seeds must be non-negative, got -1"):
+            run_experiment(self.series, self.config, [2, -1])
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
     def test_workers_must_be_a_positive_integer(self, workers):
