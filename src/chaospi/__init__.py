@@ -7,7 +7,6 @@ from .chaos import (
     EmbeddedDataset,
     EmbeddingParams,
     LyapunovEstimate,
-    RosensteinOptions,
     analyze,
     autocorrelation,
     cao_min_dimension,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,20 +119,6 @@ class EmbeddedDataset:
         return int(self.targets.size)
 
 
-@dataclass(frozen=True)
-class RosensteinOptions:
-    """Knobs for the divergence-tracking exponent estimate.
-
-    ``theiler_window`` defaults to ``tau * m``; ``k_max`` to
-    ``min(50, n_vectors // 10)``; the fit range to ``[0, min(20, k_max)]``.
-    """
-
-    theiler_window: int | None = None
-    k_max: int | None = None
-    fit_start: int = 0
-    fit_stop: int | None = None
-
-
 @dataclass
 class LyapunovEstimate:
     """Largest Lyapunov exponent in nats per time step plus its fit context.
@@ -164,14 +150,18 @@ class ChaosReport:
 @dataclass(frozen=True)
 class AnalyzeOptions:
     """Options for :func:`analyze`; ``tau``/``m`` override the automatic
-    selection rules when set."""
+    selection rules when set, and the last four are passed to
+    :func:`lyapunov_rosenstein`."""
 
     tau: int | None = None
     m: int | None = None
     max_lag: int | None = None
     cao_max_dim: int = 12
     cao_threshold: float = 0.05
-    rosenstein: RosensteinOptions = field(default_factory=RosensteinOptions)
+    theiler_window: int | None = None
+    k_max: int | None = None
+    fit_start: int = 0
+    fit_stop: int | None = None
 
 
 def autocorrelation(values, max_lag: int) -> np.ndarray:
@@ -281,18 +271,23 @@ def _rosenstein_neighbors(
 def lyapunov_rosenstein(
     values,
     params: EmbeddingParams,
-    options: RosensteinOptions | None = None,
+    *,
+    theiler_window: int | None = None,
+    k_max: int | None = None,
+    fit_start: int = 0,
+    fit_stop: int | None = None,
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent by mean log divergence of nearest neighbors.
 
     Each state vector is paired with its nearest Euclidean neighbor at least
     ``theiler_window + 1`` steps away in time and at nonzero distance. The
-    curve y(k) averages log distances of surviving pairs k steps later;
-    pairs leave the average once either trajectory runs off the data or the
-    distance hits exactly zero. The exponent is the least-squares slope of
-    y(k) over the fit range, in nats per time step.
+    curve y(k) averages log distances of surviving pairs k steps later, for
+    k = 0..k_max; pairs leave the average once either trajectory runs off
+    the data or the distance hits exactly zero. The exponent is the
+    least-squares slope of y(k) over ``[fit_start, fit_stop]``, in nats per
+    time step. ``theiler_window`` defaults to ``tau * m``, ``k_max`` to
+    ``min(50, n_vectors // 10)`` and ``fit_stop`` to ``min(20, k_max)``.
     """
-    opts = options or RosensteinOptions()
     x = np.asarray(values, dtype=float)
     tau, m = params.tau, params.m
     n_vec = x.size - (m - 1) * tau
@@ -301,14 +296,13 @@ def lyapunov_rosenstein(
             f"need at least 20 state vectors, got {n_vec} "
             f"(length {x.size}, tau {tau}, m {m})"
         )
-    window = opts.theiler_window if opts.theiler_window is not None else tau * m
+    window = theiler_window if theiler_window is not None else tau * m
     if window < 0:
         raise ConfigError("theiler_window must be >= 0")
-    k_max = opts.k_max if opts.k_max is not None else min(50, n_vec // 10)
+    k_max = k_max if k_max is not None else min(50, n_vec // 10)
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    fit_stop = opts.fit_stop if opts.fit_stop is not None else min(20, k_max)
-    fit_start = opts.fit_start
+    fit_stop = fit_stop if fit_stop is not None else min(20, k_max)
     if not 0 <= fit_start < fit_stop <= k_max:
         raise ConfigError(
             f"fit range [{fit_start}, {fit_stop}] must sit inside [0, {k_max}]"
@@ -505,7 +499,10 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
 
     divergence = None
     try:
-        est = lyapunov_rosenstein(x, EmbeddingParams(tau=tau, m=m), opts.rosenstein)
+        est = lyapunov_rosenstein(
+            x, EmbeddingParams(tau=tau, m=m), theiler_window=opts.theiler_window,
+            k_max=opts.k_max, fit_start=opts.fit_start, fit_stop=opts.fit_stop,
+        )
         exponent = est.exponent
         divergence = est.divergence
     except NoValidPairsError as exc:

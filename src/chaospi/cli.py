@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands, each with the outputs it owns in its ``--out`` directory:
+Subcommands and the outputs each writes into its ``--out`` directory:
 
 * ``analyze`` -- chaos diagnostics only: ``chaos.json``, ``divergence.csv``
   (unless divergence tracking failed) and ``cao.csv`` (unless the dimension
@@ -14,17 +14,21 @@ Subcommands, each with the outputs it owns in its ``--out`` directory:
 * ``eaf`` -- attainment surfaces recomputed from previously saved front
   CSVs: ``eaf_{best,median,worst}.csv``.
 
-The JSON config takes the scalar fields of the config dataclasses, which own
-every default, plus the run-setup keys in ``_SETUP_KEYS``; the top-level
-``tau``/``m`` set the chaos analysis' embedding. A flag overrides the key its
-``dest`` names.
+The JSON config follows one schema, ``_SCHEMA``, read from the config
+dataclasses, which own every default: the scalar fields of
+``PipelineConfig``, the embedding ``tau``/``m`` of ``AnalyzeOptions`` and the
+run-setup keys in ``_SETUP_KEYS`` at the top level, ``NsgaParams`` in the
+``stage2``/``stage3`` blocks and the rest of ``AnalyzeOptions`` in the
+``chaos`` block. A flag overrides the key its ``dest`` names.
 
 Exit codes: 0 on success, 1 on any domain or configuration error, 2 on an
 operating-system I/O failure. Outputs are plain JSON/CSV written with
 deterministic formatting, so re-running a command with identical inputs and
-configuration reproduces files byte for byte. A command run into a reused
-output directory deletes the files it owns there but did not write this time,
-so of those it holds only this run's; other files are left alone.
+configuration reproduces files byte for byte. An output directory holds one
+run: ``analyze``, ``intervals`` and ``experiment`` run into a reused one
+delete every output of the four commands there that they did not write this
+time, while ``eaf`` deletes only stale surfaces, so it can write into the
+experiment directory it reads. Other files are left alone.
 """
 
 from __future__ import annotations
@@ -45,23 +49,20 @@ import numpy as np
 
 from . import eaf as eaf_mod
 from . import pipeline
-from .chaos import AnalyzeOptions, ChaosReport, RosensteinOptions, analyze
+from .chaos import AnalyzeOptions, ChaosReport, analyze
 from .errors import ChaospiError, ConfigError, EmptyFrontError
 from .nsga2 import NsgaParams
 from .pipeline import PipelineConfig
 from .series import TimeSeries, load_series
 
 _FRONT_CSV = re.compile(r"seed_(-?\d+)\.csv")
-_CHAOS_FILES = r"chaos\.json|divergence\.csv|cao\.csv"
-_EAF_FILES = r"eaf_(best|median|worst)\.csv"
-# The outputs each command owns in its --out directory, as a file-name
-# pattern per subdirectory ("" is the directory itself).
-_OWNED = {
-    "analyze": {"": _CHAOS_FILES},
-    "intervals": {"": rf"{_CHAOS_FILES}|report\.json|intervals\.csv"},
-    "experiment": {"": rf"{_CHAOS_FILES}|report\.json|failures\.json|{_EAF_FILES}",
-                   "fronts": _FRONT_CSV.pattern},
-    "eaf": {"": _EAF_FILES},
+_EAF_CSV = r"eaf_(best|median|worst)\.csv"
+# Every output of a run in its --out directory, as a file-name pattern per
+# subdirectory ("" is the directory itself).
+_OUTPUTS = {
+    "": r"chaos\.json|divergence\.csv|cao\.csv|report\.json|intervals\.csv|failures\.json|"
+        + _EAF_CSV,
+    "fronts": _FRONT_CSV.pattern,
 }
 
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
@@ -81,14 +82,6 @@ def _fields(cls: type) -> dict[str, tuple[type, bool]]:
     return table
 
 
-_PIPELINE_KEYS = _fields(PipelineConfig)
-_NSGA_KEYS = _fields(NsgaParams)
-# the embedding is set by the top-level tau/m (or --tau/--m), not in the chaos block
-_ANALYZE_KEYS = _fields(AnalyzeOptions)
-_EMBED_KEYS = {key: _ANALYZE_KEYS.pop(key) for key in ("tau", "m")}
-_ROSENSTEIN_KEYS = _fields(RosensteinOptions)
-_BLOCKS = {"stage2": _NSGA_KEYS, "stage3": _NSGA_KEYS,
-           "chaos": {**_ANALYZE_KEYS, **_ROSENSTEIN_KEYS}}
 # Run-setup keys the CLI owns: (kind, may be null, default).
 _SETUP_KEYS = {
     "input": (str, True, None),
@@ -100,8 +93,16 @@ _SETUP_KEYS = {
     "seed_base": (int, False, 0),
     "seed_count": (int, False, 20),
 }
-# Every top-level key apart from the blocks: (kind, may be null).
-_CONFIG_KEYS = {**_PIPELINE_KEYS, **_EMBED_KEYS, **{k: v[:2] for k, v in _SETUP_KEYS.items()}}
+# The config file's keys: (kind, may be null), or the schema of a block.
+_SCHEMA = {
+    **_fields(PipelineConfig),
+    **{key: rule[:2] for key, rule in _SETUP_KEYS.items()},
+    "stage2": _fields(NsgaParams),
+    "stage3": _fields(NsgaParams),
+    "chaos": _fields(AnalyzeOptions),
+}
+# the embedding is set by the top-level tau/m (or --tau/--m), not in the chaos block
+_SCHEMA.update((key, _SCHEMA["chaos"].pop(key)) for key in ("tau", "m"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,16 +143,18 @@ def _write_file(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _publish(out: str, command: str, files: dict[str, str]) -> None:
+def _publish(out: str, files: dict[str, str], owned: dict[str, str] = _OUTPUTS) -> None:
     """Write ``files`` (path relative to ``out`` -> text) into ``out``, then
-    delete the outputs ``command`` owns there that this run did not write."""
-    owned = _OWNED[command]
-    for folder in owned:
-        os.makedirs(os.path.join(out, folder), exist_ok=True)
+    delete the files there that match ``owned`` but were not written."""
     for rel, text in files.items():
-        _write_file(os.path.join(out, rel), text)
+        path = os.path.join(out, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_file(path, text)
     for folder, pattern in owned.items():
-        for name in os.listdir(os.path.join(out, folder)):
+        path = os.path.join(out, folder)
+        if not os.path.isdir(path):
+            continue
+        for name in os.listdir(path):
             rel = f"{folder}/{name}" if folder else name
             if re.fullmatch(pattern, name) and rel not in files:
                 with suppress(FileNotFoundError):
@@ -191,9 +194,6 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(
                 f"config key '{prefix}seed' was removed; choose seeds with 'seeds' or 'seed_base'"
             )
-    unknown = set(raw) - set(_CONFIG_KEYS) - set(_BLOCKS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return raw
 
 
@@ -215,19 +215,24 @@ def _typed(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
     return float(value) if kind is float else value
 
 
-def _block(raw: Any, label: str, keys: dict[str, tuple[type, bool]]) -> dict:
-    """Type-check a nested config object against its key table."""
+def _checked(raw: Any, schema: dict, label: str = "") -> dict:
+    """Type-check a config object against ``schema``, blocks included, and
+    return its values; ``label`` names a block (a null block is empty)."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{label} must be an object")
-    unknown = set(raw) - set(keys)
+    unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {label or 'config'} keys: {sorted(unknown)}")
     checked = {}
     for key, value in raw.items():
-        kind, nullable = keys[key]
-        checked[key] = _typed(value, kind, f"{label}.{key}", nullable)
+        name = f"{label}.{key}" if label else key
+        if isinstance(schema[key], dict):
+            checked[key] = _checked(value, schema[key], name)
+        else:
+            kind, nullable = schema[key]
+            checked[key] = _typed(value, kind, name, nullable)
     return checked
 
 
@@ -238,47 +243,29 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
 
 
-def _pick(values: dict, keys: dict) -> dict:
-    return {k: v for k, v in values.items() if k in keys}
-
-
 def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     """Merge defaults, config file, and flags into the run setup (the
     ``_SETUP_KEYS`` with the seed list resolved) and a pipeline config."""
-    cfg = _load_config_file(getattr(args, "config", None))
-
     # every entry is checked, also one that a flag or another key overrides
-    values = {}
-    for key, value in cfg.items():
-        if key in _BLOCKS:
-            values[key] = _block(value, key, _BLOCKS[key])
-        else:
-            kind, nullable = _CONFIG_KEYS[key]
-            values[key] = _typed(value, kind, key, nullable)
+    values = _checked(_load_config_file(getattr(args, "config", None)), _SCHEMA)
     for seed in values.get("seeds", []):
         _typed(seed, int, "seeds entry")
     values.update(
-        (key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key, None) is not None
+        (key, getattr(args, key)) for key in _SCHEMA if getattr(args, key, None) is not None
     )
 
-    setup = {key: values.get(key, default) for key, (_, _, default) in _SETUP_KEYS.items()}
+    setup = {key: values.pop(key, default) for key, (_, _, default) in _SETUP_KEYS.items()}
     if setup["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {setup['workers']}")
-    chaos = values.get("chaos", {})
-    config = PipelineConfig(
-        **_pick(values, _PIPELINE_KEYS),
-        chaos=AnalyzeOptions(
-            **_pick(values, _EMBED_KEYS),
-            **_pick(chaos, _ANALYZE_KEYS),
-            rosenstein=RosensteinOptions(**_pick(chaos, _ROSENSTEIN_KEYS)),
-        ),
-    )
+    stage2, stage3, chaos = (values.pop(key, {}) for key in ("stage2", "stage3", "chaos"))
+    embedding = {key: values.pop(key) for key in ("tau", "m") if key in values}
+    config = PipelineConfig(**values, chaos=AnalyzeOptions(**embedding, **chaos))
     if setup["preset"] is not None:
         config = pipeline.apply_preset(config, setup["preset"])
     config = replace(
         config,
-        stage2=replace(config.stage2, **values.get("stage2", {})),
-        stage3=replace(config.stage3, **values.get("stage3", {})),
+        stage2=replace(config.stage2, **stage2),
+        stage3=replace(config.stage3, **stage3),
     )
 
     if setup["seeds"] is None:
@@ -333,7 +320,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     meta, config = _resolve(args)
     series = _read_input(meta)
     report = analyze(series, config.chaos)
-    _publish(meta["out"], "analyze", _chaos_files(report))
+    _publish(meta["out"], _chaos_files(report))
     flag = "chaotic" if report.chaotic else "not chaotic"
     print(f"tau={report.tau} m={report.m} lambda={report.lyapunov:.6f} ({flag})")
     return 0
@@ -371,7 +358,7 @@ def cmd_intervals(args: argparse.Namespace) -> int:
         "intervals.csv": _csv_text(["index", "date", "actual", "point", "lower", "upper"], rows),
         **_chaos_files(chaos),
     }
-    _publish(meta["out"], "intervals", files)
+    _publish(meta["out"], files)
     print(
         f"{config.model} seed={result.seed}: "
         f"test picp={result.test.picp:.4f} piaw={result.test.piaw:.4f}"
@@ -419,7 +406,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         files.update(_eaf_files([r.front for r in report.results]))
     if failures:
         files["failures.json"] = _json_text({"failures": failures})
-    _publish(meta["out"], "experiment", files)
+    _publish(meta["out"], files)
     if failures:
         print(f"{len(failures)} of {len(seeds)} seeds failed", file=sys.stderr)
         return 1
@@ -448,7 +435,7 @@ def cmd_eaf(args: argparse.Namespace) -> int:
     if not paths:
         raise EmptyFrontError(f"no seed_<s>.csv files under {front_dir}")
     fronts = [_read_front(path) for _, path in sorted(paths)]
-    _publish(meta["out"], "eaf", _eaf_files(fronts))
+    _publish(meta["out"], _eaf_files(fronts), owned={"": _EAF_CSV})
     print(f"attainment surfaces for {len(fronts)} fronts written to {meta['out']}")
     return 0
 

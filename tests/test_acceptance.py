@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chaospi import cli
-from chaospi.chaos import AnalyzeOptions, EmbeddingParams, RosensteinOptions, analyze, cao_min_dimension, lyapunov_rosenstein
+from chaospi.chaos import AnalyzeOptions, EmbeddingParams, analyze, cao_min_dimension, lyapunov_rosenstein
 from chaospi.eaf import FrontEnsemble, attainment_surface, standard_levels
 from chaospi.metrics import directional_symmetry, piaw, picp, smape
 from chaospi.nsga2 import NsgaParams, Problem, nondominated_fronts, run as nsga_run
@@ -72,7 +72,7 @@ def test_criterion_01_metric_oracles():
 def test_criterion_02_lyapunov_recovery():
     start = time.perf_counter()
     est = lyapunov_rosenstein(
-        logistic_map(2000), EmbeddingParams(tau=1, m=2), RosensteinOptions(fit_stop=8)
+        logistic_map(2000), EmbeddingParams(tau=1, m=2), fit_stop=8
     )
     t_logistic = time.perf_counter() - start
 

@@ -9,7 +9,6 @@ from chaospi import chaos
 from chaospi.chaos import (
     AnalyzeOptions,
     EmbeddingParams,
-    RosensteinOptions,
     analyze,
     autocorrelation,
     cao_min_dimension,
@@ -102,7 +101,7 @@ class TestReconstruct:
 class TestLyapunov:
     def test_logistic_map_recovers_ln_two(self):
         est = lyapunov_rosenstein(
-            logistic_map(2000), EmbeddingParams(tau=1, m=2), RosensteinOptions(fit_stop=8)
+            logistic_map(2000), EmbeddingParams(tau=1, m=2), fit_stop=8
         )
         assert 0.59 <= est.exponent <= 0.79
         assert est.n_pairs > 0
@@ -116,9 +115,8 @@ class TestLyapunov:
         # rescaling shifts every log distance by a constant, so the slope of
         # the divergence curve must not move
         x = logistic_map(500)
-        opts = RosensteinOptions(fit_stop=8)
-        a = lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), opts)
-        b = lyapunov_rosenstein(100.0 * x + 7.0, EmbeddingParams(tau=1, m=2), opts)
+        a = lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_stop=8)
+        b = lyapunov_rosenstein(100.0 * x + 7.0, EmbeddingParams(tau=1, m=2), fit_stop=8)
         assert a.exponent == pytest.approx(b.exponent, abs=1e-9)
 
     def test_divergence_curve_shape(self):
@@ -137,9 +135,9 @@ class TestLyapunov:
     def test_fit_range_validation(self):
         x = logistic_map(300)
         with pytest.raises(ConfigError):
-            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), RosensteinOptions(fit_start=5, fit_stop=5))
+            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_start=5, fit_stop=5)
         with pytest.raises(ConfigError):
-            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), RosensteinOptions(fit_stop=500))
+            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_stop=500)
 
 
 class TestCao:
@@ -321,7 +319,7 @@ class TestBlockedNeighborSearch:
             x = np.round(x, 1)
         n_vec = self.N - (m - 1) * tau
         self.set_block_rows(monkeypatch, rows, self.N, m - 1)
-        est = lyapunov_rosenstein(x, EmbeddingParams(tau=tau, m=m), RosensteinOptions(theiler_window=window))
+        est = lyapunov_rosenstein(x, EmbeddingParams(tau=tau, m=m), theiler_window=window)
         k_max = min(50, n_vec // 10)
         slope, divergence, n_pairs = dense_rosenstein(
             x, tau, m, tau * m if window is None else window, k_max, min(20, k_max)

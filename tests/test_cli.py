@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaospi import cli, pipeline
-from chaospi.chaos import AnalyzeOptions, RosensteinOptions
+from chaospi import chaos, cli, pipeline
+from chaospi.chaos import AnalyzeOptions, EmbeddingParams, analyze, lyapunov_rosenstein
 from chaospi.errors import ConfigError
 from chaospi.nsga2 import NsgaParams
 from chaospi.pipeline import PipelineConfig
@@ -255,6 +255,10 @@ def _tree(root):
     }
 
 
+def _contents(root):
+    return {name: data for name, (data, _) in _tree(root).items()}
+
+
 def test_commands_keep_each_others_files_in_a_shared_out_dir(tmp_path, series_csv):
     cfg = write_config(tmp_path)
     common = ["--input", str(series_csv), "--config", str(cfg)]
@@ -272,23 +276,27 @@ def test_commands_keep_each_others_files_in_a_shared_out_dir(tmp_path, series_cs
         assert data == experiment[name][0]
         assert (inode != experiment[name][1]) == (name in eaf_names), name
 
-    # intervals replaces the shared report and chaos files, keeps the rest
+    # the other commands leave one run: intervals into an experiment directory
+    # drops its fronts, surfaces and failure record, and keeps a foreign file
+    (out / "failures.json").write_text("{}")
+    (out / "notes.txt").write_text("kept")
     assert cli.main(["intervals", *common, "--out", str(out)]) == 0
-    after = _tree(out)
-    assert set(after) == set(experiment) | {"intervals.csv"}
-    for name in [n for n in experiment if n.startswith(("fronts/", "eaf_"))]:
-        assert after[name][0] == experiment[name][0]
-
-    # analyze into an intervals directory keeps the run's report and rows
     run = tmp_path / "run"
     assert cli.main(["intervals", *common, "--out", str(run)]) == 0
-    before = _tree(run)
+    intervals = _contents(run)
+    assert set(intervals) == {"chaos.json", "divergence.csv", "report.json", "intervals.csv"}
+    assert _contents(out) == {**intervals, "notes.txt": b"kept"}
+
+    # analyze into an intervals directory drops the run's report and rows
     assert cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
                      "--out", str(run)]) == 0
-    after = _tree(run)
-    assert set(after) == set(before)
-    for name in ("report.json", "intervals.csv"):
-        assert after[name] == before[name]
+    assert set(_tree(run)) == {"chaos.json", "divergence.csv"}
+    assert _contents(run)["chaos.json"] == intervals["chaos.json"]
+
+    # experiment into an intervals directory drops its rows
+    assert cli.main(["intervals", *common, "--out", str(run)]) == 0
+    assert cli.main(["experiment", *common, "--seeds", "0,1", "--out", str(run)]) == 0
+    assert _contents(run) == {name: data for name, (data, _) in experiment.items()}
 
 
 def test_intervals_rows_are_the_series_last_positions(tmp_path, series_csv):
@@ -419,8 +427,13 @@ def test_resolve_carries_every_config_key(tmp_path, capsys):
              "preset": "cpi_headline", "seed_base": 5, "seed_count": 3}
     assert set(top) == {f.name for f in fields(PipelineConfig)} - {"chaos", "stage2", "stage3"}
     assert set(stage2) == {f.name for f in fields(NsgaParams)}
-    assert set(chaos) == ({f.name for f in fields(AnalyzeOptions)} - {"tau", "m", "rosenstein"}
-                          | {f.name for f in fields(RosensteinOptions)})
+    assert set(chaos) == {f.name for f in fields(AnalyzeOptions)} - {"tau", "m"}
+    # the schema accepts these keys and no others ("seeds" is set in place of the seed range)
+    assert {key: set(rule) if isinstance(rule, dict) else None
+            for key, rule in cli._SCHEMA.items()} == {
+        **dict.fromkeys([*top, *embedding, *setup, "seeds"]),
+        "stage2": set(stage2), "stage3": set(stage3), "chaos": set(chaos),
+    }
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**top, **embedding, **setup, "stage2": stage2,
                                 "stage3": stage3, "chaos": chaos}))
@@ -431,10 +444,7 @@ def test_resolve_carries_every_config_key(tmp_path, capsys):
         **top,
         stage2=NsgaParams(**stage2),
         stage3=NsgaParams(**stage3),
-        chaos=AnalyzeOptions(
-            **embedding, max_lag=9, cao_max_dim=7, cao_threshold=0.07,
-            rosenstein=RosensteinOptions(theiler_window=3, k_max=11, fit_start=1, fit_stop=5),
-        ),
+        chaos=AnalyzeOptions(**embedding, **chaos),
     )
     assert got_setup == {**setup, "seeds": [5, 6, 7]}
 
@@ -444,6 +454,50 @@ def test_resolve_carries_every_config_key(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         assert cli.main(["analyze", "--config", str(path)]) == 1
         assert "unknown" in capsys.readouterr().err
+
+
+def test_rosenstein_keys_reach_the_estimate(tmp_path, monkeypatch):
+    keys = {"theiler_window": 5, "k_max": 12, "fit_start": 1, "fit_stop": 6}
+    values = logistic_map(2000)
+    direct = lyapunov_rosenstein(values, EmbeddingParams(tau=1, m=2), **keys)
+    estimates = []
+
+    def spy(*args, real=chaos.lyapunov_rosenstein, **kwargs):
+        estimates.append(real(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(chaos, "lyapunov_rosenstein", spy)
+    report = analyze(TimeSeries(values=values), AnalyzeOptions(tau=1, m=2, **keys))
+    assert report.lyapunov == direct.exponent
+    np.testing.assert_array_equal(report.divergence_curve, direct.divergence)
+    assert [est.n_pairs for est in estimates] == [direct.n_pairs]
+
+    # the same keys as the config's chaos block
+    path, cfg, out = tmp_path / "logistic.csv", tmp_path / "config.json", tmp_path / "out"
+    write_series(TimeSeries(values=values), path)
+    cfg.write_text(json.dumps({"tau": 1, "m": 2, "chaos": keys}))
+    assert cli.main(["analyze", "--input", str(path), "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "chaos.json").read_text())["lambda"] == direct.exponent
+
+
+@pytest.mark.parametrize(
+    "config, err",
+    [
+        ({"chaos": None}, ""),
+        ({"stage3": 3}, "error: stage3 must be an object\n"),
+        ({"chaos": {"fit_stopp": 1}}, "error: unknown chaos keys: ['fit_stopp']\n"),
+        ({"chaos": {"fit_stop": "5"}}, "error: chaos.fit_stop must be an integer or null, got '5'\n"),
+    ],
+)
+def test_config_block_errors_keep_their_messages(tmp_path, series_csv, capsys, config, err):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2"]
+    rc = cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1 if err else 0, err)
+    if not err:  # a null block runs as an empty one
+        assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert _contents(tmp_path / "out") == _contents(tmp_path / "plain")
 
 
 # a flag or another key that overrides a mistyped entry does not excuse it
@@ -643,11 +697,9 @@ _TYPED = {
     str: st.sampled_from(_WORDS),
     list: st.lists(st.integers(-3, 20), max_size=3),
 }
-_TOP_KINDS = {
-    **{k: kind for k, (kind, _) in cli._CONFIG_KEYS.items()},
-    # the blocks as a whole take any value here; their keys are drawn below
-    **dict.fromkeys(cli._BLOCKS),
-}
+# the blocks as a whole take any value here; their keys are drawn below
+_BLOCKS = {label: rule for label, rule in cli._SCHEMA.items() if isinstance(rule, dict)}
+_TOP_KINDS = {key: None if key in _BLOCKS else rule[0] for key, rule in cli._SCHEMA.items()}
 
 
 def _entries(kinds, max_size):
@@ -670,7 +722,7 @@ _CONFIGS = st.tuples(
         {},
         optional={
             label: _entries({k: kind for k, (kind, _) in keys.items()}, 3)
-            for label, keys in cli._BLOCKS.items()
+            for label, keys in _BLOCKS.items()
         },
     ),
 )
