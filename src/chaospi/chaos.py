@@ -11,24 +11,26 @@ The module covers the usual pre-modeling chain for nonlinear time series:
   neighbor pairs and fit a line over the initial growth region,
 * lagged input/target matrices for one-step-ahead autoregression.
 
-Nearest-neighbor searches run over blocks of rows taken from one residue
-class mod tau (rows i, i + tau, i + 2*tau, ...), so memory is O(n * block)
-rather than O(n^2) while every distance is still computed exactly, by the
-same float operations a dense matrix would use. Within such a block, row
-i's coordinate at lag d*tau is row i + d*tau's first coordinate, and the
-gap |x[i + d*tau] - x[j + d*tau]| to every candidate j is row i + d*tau of
-the 1-D distance matrix shifted by d*tau columns. Each search therefore
-computes the block's 1-D rows once into a shared row buffer, with one more
-row per added coordinate (``max_dim`` for Cao, ``m - 1`` for Rosenstein),
-and takes every new coordinate as a slice of it. The block and the row
-buffer together stay within about ``2 * _BLOCK_ELEMS`` floats, small enough
-for a core's L2 cache, and are updated in place in buffers allocated once
-per call. Cao's search sets each row's distance to
-itself to +inf before the dimension loop (the self-distance is 0 in every
-dimension, and the running maximum keeps it +inf), so the nearest neighbor
-is a plain ``argmin`` of the running block; only rows whose nearest
-distance is not strictly positive (duplicate vectors) are searched again
-with zero distances masked out.
+Cao's method and Rosenstein's share one nearest-neighbor search. It runs
+over blocks of rows taken from one residue class mod tau (rows i, i + tau,
+i + 2*tau, ...), so memory is O(n * block) rather than O(n^2) while every
+distance is still computed exactly, by the same float operations a dense
+matrix would use. Within such a block, row i's coordinate at lag d*tau is
+row i + d*tau's first coordinate, and the gap |x[i + d*tau] - x[j + d*tau]|
+to every candidate j is row i + d*tau of the 1-D distance matrix shifted by
+d*tau columns. The search therefore computes the block's 1-D rows once into
+a shared row buffer, with one more row per added coordinate, and takes every
+new coordinate as a slice of it: a running maximum of absolute gaps gives
+Cao's Chebyshev distances, a running sum of squared gaps Rosenstein's
+squared Euclidean ones. The block and the row buffer together stay within
+about ``2 * _BLOCK_ELEMS`` floats, small enough for a core's L2 cache, and
+are updated in place in two buffers allocated once per call. A neighbor
+must lie outside the Theiler band |i - j| <= window, which is set to +inf
+once in dimension 1 and stays +inf under the running maximum or sum; Cao's
+search uses a band of width 0, which holds only each row's self-pair. The
+nearest neighbor is then a plain ``argmin`` of the running block; only rows
+whose nearest distance is not strictly positive (duplicate vectors) are
+searched again with zero distances masked out.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     SeriesTooShortError,
     ZeroVarianceError,
 )
-from .series import TimeSeries
+from .series import TimeSeries, finite_values
 
 # Elements per buffer of a neighbor search. A search holds a block of rows
 # and the shared rows of 1-D distances its new coordinates are sliced from,
@@ -77,6 +79,65 @@ def _distance_rows(x: np.ndarray, first: int, tau: int, out: np.ndarray) -> None
     ``out``: rows of the signed 1-D distance matrix from one residue class."""
     rows = x[first : first + out.shape[0] * tau : tau]
     np.subtract(rows[:, None], x[None, :], out=out)
+
+
+def _nearest_neighbors(
+    x: np.ndarray, tau: int, sizes: dict[int, int], window: int, chebyshev: bool
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per dimension d in ``sizes``, each of the first ``sizes[d]`` delay
+    vectors' nearest neighbor among those vectors and its distance, Chebyshev
+    or else squared Euclidean. The neighbor lies more than ``window`` steps
+    away in time and at a strictly positive distance; the distance is not
+    finite where a vector has no such neighbor. ``sizes`` must not grow with d."""
+    n, top = x.size, max(sizes)
+    gap, grow = (np.abs, np.maximum) if chebyshev else (np.square, np.add)
+    # the vectors dimension d's distances serve: those of the next dimension searched
+    reach = {d: max(r for e, r in sizes.items() if e >= d) for d in range(1, top + 1)}
+    cols = reach[1]
+    found = {d: (np.empty(r, dtype=np.intp), np.empty(r)) for d, r in sizes.items()}
+    step, blocks = _row_blocks(cols, n, tau, top - 1)
+    # a block row keeps stride n: a narrower buffer made Cao's search slower
+    dist_buf = np.empty((step, n))
+    row_buf = np.empty((step + top - 1, n))
+    block_rows = np.arange(step)
+    # a wider band masks no more columns, but its index array would grow
+    w = min(window, cols - 1)
+    band = np.arange(-w, w + 1)
+    for first, h_block in blocks:
+        # distances of the block's rows i start at dimension 1 and gain one
+        # coordinate per step: D_{d+1}(i, j) = grow(D_d(i, j), gap(x[i+d*tau]
+        # - x[j+d*tau])), the gap being row k + d of the shared 1-D rows for
+        # the block's row k
+        dist_rows = row_buf[: min(h_block + top - 1, len(range(first, n, tau)))]
+        _distance_rows(x, first, tau, dist_rows)
+        gap(dist_rows, out=dist_rows)
+        dist = dist_buf[:h_block, :cols]
+        np.copyto(dist, dist_rows[:h_block, :cols])
+        # the Theiler band; a column clipped to the edge still lies inside it
+        rows = np.arange(first, first + h_block * tau, tau)
+        dist[block_rows[:h_block, None], np.clip(rows[:, None] + band, 0, cols - 1)] = np.inf
+        for d in range(1, top + 1):
+            r = reach[d]
+            h = min(h_block, len(range(first, r, tau)))
+            if h == 0:
+                break
+            sub = dist[:h, :r]
+            if d in found:
+                nn = sub.argmin(axis=1)
+                den = sub[block_rows[:h], nn]
+                # a nearest distance of 0 (a duplicate vector): search the
+                # row again for its nearest strictly positive neighbor
+                if not den.min() > 0.0:
+                    again = np.flatnonzero(~(den > 0.0))
+                    redo = sub[again]
+                    masked = np.where(redo > 0.0, redo, np.inf)
+                    nn[again] = np.argmin(masked, axis=1)
+                    den[again] = masked[np.arange(again.size), nn[again]]
+                found[d][0][first : first + h * tau : tau] = nn
+                found[d][1][first : first + h * tau : tau] = den
+            if d < top:
+                grow(sub, dist_rows[d : d + h, d * tau : d * tau + r], out=sub)
+    return found
 
 
 @dataclass(frozen=True)
@@ -163,11 +224,25 @@ class AnalyzeOptions:
     fit_start: int = 0
     fit_stop: int | None = None
 
+    def __post_init__(self):
+        # each field's own range, also where a forced tau/m leaves it unused
+        for key, low in (("tau", 1), ("m", 1), ("max_lag", 1), ("cao_max_dim", 1),
+                         ("k_max", 1), ("theiler_window", 0), ("fit_start", 0)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        if not 0.0 < self.cao_threshold < 1.0:
+            raise ConfigError(f"cao_threshold must lie in (0, 1), got {self.cao_threshold}")
+        if self.fit_stop is not None and not self.fit_start < self.fit_stop:
+            raise ConfigError(
+                f"fit_start must be below fit_stop, got {self.fit_start} and {self.fit_stop}"
+            )
+
 
 def autocorrelation(values, max_lag: int) -> np.ndarray:
     """Sample autocorrelation for lags ``0..max_lag`` (mean removed,
     normalized so lag 0 equals 1)."""
-    x = np.asarray(values, dtype=float)
+    x = finite_values(values)
     n = x.size
     if n < 3:
         raise SeriesTooShortError("autocorrelation needs at least three observations")
@@ -231,43 +306,6 @@ def _delay_matrix(x: np.ndarray, tau: int, m: int) -> np.ndarray:
     return x[idx]
 
 
-def _rosenstein_neighbors(
-    x: np.ndarray, tau: int, m: int, window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each delay vector's nearest Euclidean neighbor outside the Theiler
-    band ``|i - j| <= window`` and at nonzero distance, and whether it has
-    one."""
-    n_vec = x.size - (m - 1) * tau
-    nn = np.empty(n_vec, dtype=np.intp)
-    valid = np.empty(n_vec, dtype=bool)
-    # a block's rows i gain coordinate col as row i + col*tau of the squared
-    # 1-D distances, shifted by col*tau columns: m - 1 rows beyond the block
-    step, blocks = _row_blocks(n_vec, x.size, tau, m - 1)
-    # one allocation for both buffers, larger than either of Cao's: glibc's
-    # malloc maps it afresh and unmaps it whole, where two smaller ones would
-    # grow the heap and raise the peak resident memory of analyze
-    buf = np.empty(step * n_vec + (step + m - 1) * x.size)
-    dist2_buf = buf[: step * n_vec].reshape(step, n_vec)
-    sq_buf = buf[step * n_vec :].reshape(step + m - 1, x.size)
-    for first, h in blocks:
-        dist2, sq = dist2_buf[:h], sq_buf[: h + m - 1]
-        _distance_rows(x, first, tau, sq)
-        np.multiply(sq, sq, out=sq)
-        # summed as 0 + col0**2 + col1**2 + ..., where 0 + col0**2 is col0**2
-        # itself: a square is never -0.0
-        np.copyto(dist2, sq[:h, :n_vec])
-        for col in range(1, m):
-            np.add(dist2, sq[col : col + h, col * tau : col * tau + n_vec], out=dist2)
-        # Theiler band |i - j| <= window
-        for k, i in enumerate(range(first, first + h * tau, tau)):
-            dist2[k, max(0, i - window) : i + window + 1] = np.inf
-        dist2[dist2 == 0.0] = np.inf
-        nn_block = np.argmin(dist2, axis=1)
-        nn[first : first + h * tau : tau] = nn_block
-        valid[first : first + h * tau : tau] = np.isfinite(dist2[np.arange(h), nn_block])
-    return nn, valid
-
-
 def lyapunov_rosenstein(
     values,
     params: EmbeddingParams,
@@ -288,7 +326,7 @@ def lyapunov_rosenstein(
     time step. ``theiler_window`` defaults to ``tau * m``, ``k_max`` to
     ``min(50, n_vectors // 10)`` and ``fit_stop`` to ``min(20, k_max)``.
     """
-    x = np.asarray(values, dtype=float)
+    x = finite_values(values)
     tau, m = params.tau, params.m
     n_vec = x.size - (m - 1) * tau
     if n_vec < 20:
@@ -308,7 +346,8 @@ def lyapunov_rosenstein(
             f"fit range [{fit_start}, {fit_stop}] must sit inside [0, {k_max}]"
         )
 
-    nn, valid = _rosenstein_neighbors(x, tau, m, window)
+    nn, dist = _nearest_neighbors(x, tau, {m: n_vec}, window, chebyshev=False)[m]
+    valid = np.isfinite(dist)
     if not np.any(valid):
         raise NoValidPairsError(
             "no neighbor pairs outside the Theiler window at nonzero distance"
@@ -343,57 +382,6 @@ def lyapunov_rosenstein(
     )
 
 
-def _cao_neighbors(
-    x: np.ndarray, tau: int, max_dim: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each delay vector's nearest strictly positive Chebyshev neighbor and
-    its distance, per dimension d = 1..max_dim+1 at list position d-1, for
-    the vectors i < n - d*tau that still exist in dimension d+1. The
-    distance is not finite where a vector has no such neighbor."""
-    n = x.size
-    dims = range(1, max_dim + 2)
-    nns = [np.empty(n - d * tau, dtype=np.intp) for d in dims]
-    dens = [np.empty(n - d * tau) for d in dims]
-    step, blocks = _row_blocks(n - tau, n, tau, max_dim)
-    dist_buf = np.empty((step, n))
-    row_buf = np.empty((step + max_dim, n))
-    block_rows = np.arange(step)
-    for first, h_block in blocks:
-        # Chebyshev distances of the block's rows i start at dimension 1 and
-        # gain one coordinate per step:
-        # D_{d+1}(i, j) = max(D_d(i, j), |x[i+d*tau] - x[j+d*tau]|), the gap
-        # being row k + d of the shared 1-D rows for the block's row k.
-        # Each row's self-pair is +inf, so argmin never picks the row itself.
-        n_rows = min(h_block + max_dim, len(range(first, n, tau)))
-        dist_rows = row_buf[:n_rows]
-        _distance_rows(x, first, tau, dist_rows)
-        np.abs(dist_rows, out=dist_rows)
-        dist = dist_buf[:h_block]
-        np.copyto(dist, dist_rows[:h_block])
-        dist[block_rows[:h_block], np.arange(first, first + h_block * tau, tau)] = np.inf
-        for d in dims:
-            r = n - d * tau  # vectors that still exist in dimension d+1
-            h = min(h_block, len(range(first, r, tau)))
-            if h == 0:
-                break
-            sub = dist[:h, :r]
-            nn = sub.argmin(axis=1)
-            den = sub[block_rows[:h], nn]
-            # a nearest distance of 0 (a duplicate vector) or NaN: search the
-            # row again for its nearest strictly positive neighbor
-            if not den.min() > 0.0:
-                again = np.flatnonzero(~(den > 0.0))
-                rows = sub[again]
-                masked = np.where(rows > 0.0, rows, np.inf)
-                nn[again] = np.argmin(masked, axis=1)
-                den[again] = masked[np.arange(again.size), nn[again]]
-            nns[d - 1][first : first + h * tau : tau] = nn
-            dens[d - 1][first : first + h * tau : tau] = den
-            if d <= max_dim:
-                np.maximum(sub, dist_rows[d : d + h, d * tau : d * tau + r], out=sub)
-    return nns, dens
-
-
 def cao_min_dimension(
     values,
     tau: int,
@@ -419,7 +407,7 @@ def cao_min_dimension(
         ``(m, e1_curve, e2_curve)`` with curves indexed so that position
         ``d - 1`` holds the value for dimension d.
     """
-    x = np.asarray(values, dtype=float)
+    x = finite_values(values)
     n = x.size
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -433,13 +421,14 @@ def cao_min_dimension(
             f"for max_dim {max_dim} at tau {tau}, got {n}"
         )
 
-    nns, dens = _cao_neighbors(x, tau, max_dim)
+    sizes = {d: n - d * tau for d in range(1, max_dim + 2)}
+    found = _nearest_neighbors(x, tau, sizes, 0, chebyshev=True)
 
     # E(d) averages each row's growth ratio, E*(d) its new-coordinate gap,
     # over whole arrays in row order, as a dense computation would.
     e_growth = np.empty(max_dim + 1)
     e_newcoord = np.empty(max_dim + 1)
-    for d, (nn, den) in enumerate(zip(nns, dens), start=1):
+    for d, (nn, den) in found.items():
         if not np.all(np.isfinite(den)):
             raise DegenerateNeighborsError(
                 f"a dimension-{d} vector has only zero-distance neighbors"
@@ -476,8 +465,6 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
 
     if opts.tau is not None:
         tau = int(opts.tau)
-        if tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {tau}")
     else:
         max_lag = opts.max_lag if opts.max_lag is not None else min(50, n - 2)
         tau = select_delay(autocorrelation(x, max_lag))
@@ -485,11 +472,7 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
     e1 = e2 = None
     if opts.m is not None:
         m = int(opts.m)
-        if m < 1:
-            raise ConfigError(f"m must be >= 1, got {m}")
     else:
-        if opts.cao_max_dim < 1:
-            raise ConfigError(f"cao_max_dim must be >= 1, got {opts.cao_max_dim}")
         max_dim = min(opts.cao_max_dim, (n - 2) // tau - 1)
         if max_dim < 1:
             raise SeriesTooShortError(

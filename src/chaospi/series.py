@@ -31,6 +31,16 @@ from .errors import (
 )
 
 
+def finite_values(values) -> np.ndarray:
+    """``values`` as a float array; NaN or infinity raises
+    :class:`NonFiniteValueError` naming the first bad position."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise NonFiniteValueError(f"non-finite value at position {bad}")
+    return x
+
+
 @dataclass
 class TimeSeries:
     """Equally spaced univariate observations in temporal order.
@@ -49,9 +59,7 @@ class TimeSeries:
             raise ParseError("series values must be one-dimensional")
         if self.values.size == 0:
             raise EmptySeriesError("series has no observations")
-        if not np.all(np.isfinite(self.values)):
-            bad = int(np.flatnonzero(~np.isfinite(self.values))[0])
-            raise NonFiniteValueError(f"non-finite value at position {bad}")
+        finite_values(self.values)
         if self.labels is not None and len(self.labels) != self.values.size:
             raise ParseError("label count does not match value count")
 

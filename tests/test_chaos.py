@@ -19,6 +19,7 @@ from chaospi.chaos import (
 from chaospi.errors import (
     ConfigError,
     DegenerateNeighborsError,
+    NonFiniteValueError,
     NoValidPairsError,
     SeriesTooShortError,
     ZeroVarianceError,
@@ -216,6 +217,23 @@ class TestAnalyze:
                 analyze(TimeSeries(values=logistic_map(500)), AnalyzeOptions(cao_max_dim=max_dim))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: autocorrelation(x, 10),
+        lambda x: cao_min_dimension(x, tau=1, max_dim=4),
+        lambda x: lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2)),
+    ],
+    ids=["autocorrelation", "cao", "rosenstein"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(call, bad):
+    x = logistic_map(300)
+    x[[57, 120]] = bad
+    with pytest.raises(NonFiniteValueError, match="position 57"):
+        call(x)
+
+
 # Default-block results on henon_x(4000), captured with float.hex from the
 # row-blocked search before its blocks were sized for the L2 cache; the
 # benchmark's analyze runs at this size.
@@ -301,7 +319,8 @@ class TestBlockedNeighborSearch:
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("tau", [1, 2, 3])
-    @pytest.mark.parametrize("window", [None, 0, 10])
+    # a band of 150 is clipped at both ends for the middle rows
+    @pytest.mark.parametrize("window", [None, 0, 10, 150])
     @pytest.mark.parametrize("quantized", [False, True])
     def test_rosenstein_matches_dense(self, monkeypatch, rows, tau, window, quantized):
         self.check_rosenstein(monkeypatch, rows, tau, 3, window, quantized)
@@ -312,6 +331,17 @@ class TestBlockedNeighborSearch:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_rosenstein_matches_dense_at_long_delays(self, monkeypatch, rows, tau, m, window, quantized):
         self.check_rosenstein(monkeypatch, rows, tau, m, window, quantized)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("beyond", [0, 1, 500])
+    def test_theiler_band_over_every_pair_leaves_no_pairs(self, monkeypatch, rows, beyond):
+        # a band of n_vec - 1 or wider covers every column of every row
+        n_vec = self.N - 2
+        self.set_block_rows(monkeypatch, rows, self.N, 2)
+        with pytest.raises(NoValidPairsError):
+            lyapunov_rosenstein(
+                henon_x(self.N), EmbeddingParams(tau=1, m=3), theiler_window=n_vec - 1 + beyond
+            )
 
     def check_rosenstein(self, monkeypatch, rows, tau, m, window, quantized):
         x = henon_x(self.N)

@@ -401,6 +401,29 @@ def test_nan_distribution_index_exits_one(tmp_path, series_csv, capsys):
     assert "distribution indices must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"max_lag": 0}, "max_lag must be >= 1, got 0"),
+        ({"cao_max_dim": -3}, "cao_max_dim must be >= 1, got -3"),
+        ({"cao_threshold": 7}, "cao_threshold must lie in (0, 1), got 7.0"),
+        ({"cao_threshold": 0}, "cao_threshold must lie in (0, 1), got 0.0"),
+        ({"k_max": 0}, "k_max must be >= 1, got 0"),
+        ({"theiler_window": -1}, "theiler_window must be >= 0, got -1"),
+        ({"fit_start": -2}, "fit_start must be >= 0, got -2"),
+        ({"fit_start": 4, "fit_stop": 4}, "fit_start must be below fit_stop, got 4 and 4"),
+    ],
+)
+def test_chaos_options_are_checked_when_tau_and_m_are_forced(tmp_path, series_csv, capsys,
+                                                              block, message):
+    # a forced tau/m leaves the delay and Cao options unused, not unchecked
+    cfg = write_config(tmp_path, chaos=block)
+    rc = cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def resolve(argv):
     return cli._resolve(cli.build_parser().parse_args(argv))
 
