@@ -324,7 +324,8 @@ def lyapunov_rosenstein(
     the data or the distance hits exactly zero. The exponent is the
     least-squares slope of y(k) over ``[fit_start, fit_stop]``, in nats per
     time step. ``theiler_window`` defaults to ``tau * m``, ``k_max`` to
-    ``min(50, n_vectors // 10)`` and ``fit_stop`` to ``min(20, k_max)``.
+    ``min(50, n_vectors // 10)`` and ``fit_stop`` to ``min(20, k_max)``;
+    ``k_max`` must lie below ``n_vectors``, since no pair lasts that long.
     """
     x = finite_values(values)
     tau, m = params.tau, params.m
@@ -338,8 +339,8 @@ def lyapunov_rosenstein(
     if window < 0:
         raise ConfigError("theiler_window must be >= 0")
     k_max = k_max if k_max is not None else min(50, n_vec // 10)
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
+    if not 1 <= k_max < n_vec:
+        raise ConfigError(f"k_max must lie in [1, {n_vec - 1}], got {k_max}")
     fit_stop = fit_stop if fit_stop is not None else min(20, k_max)
     if not 0 <= fit_start < fit_stop <= k_max:
         raise ConfigError(

@@ -139,6 +139,8 @@ class TestLyapunov:
             lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_start=5, fit_stop=5)
         with pytest.raises(ConfigError):
             lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_stop=500)
+        with pytest.raises(ConfigError, match=r"k_max must lie in \[1, 298\], got 299"):
+            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), k_max=299)
 
 
 class TestCao:

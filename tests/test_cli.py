@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,6 +53,14 @@ def write_config(tmp_path, **extra):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_cli(*argv):
+    """Run the installed ``chaospi`` script, or ``python -m chaospi.cli``
+    where none is on ``PATH``."""
+    script = shutil.which("chaospi")
+    command = [script] if script else [sys.executable, "-m", "chaospi.cli"]
+    return subprocess.run([*command, *argv], capture_output=True, text=True)
 
 
 def test_analyze_writes_diagnostics(tmp_path, capsys):
@@ -595,8 +604,7 @@ def test_non_utf8_input_exits_one(tmp_path, series_csv, case):
         bad.write_bytes(b"\xff")
         argv = ["eaf", "--input", str(tmp_path)]
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "chaospi.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True)
+    proc = run_cli(*argv, "--out", str(out))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stdout + proc.stderr
     assert str(bad) in proc.stderr and "UTF-8" in proc.stderr
@@ -630,12 +638,8 @@ def test_io_errors_exit_two(tmp_path, series_csv, capsys):
 
 def test_console_script_entry_point(tmp_path, series_csv):
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "chaospi.cli", "analyze", "--input", str(series_csv),
-         "--tau", "1", "--m", "2", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                   "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "chaos.json").exists()
     assert "lambda=" in proc.stdout
