@@ -30,7 +30,10 @@ once in dimension 1 and stays +inf under the running maximum or sum; Cao's
 search uses a band of width 0, which holds only each row's self-pair. The
 nearest neighbor is then a plain ``argmin`` of the running block; only rows
 whose nearest distance is not strictly positive (duplicate vectors) are
-searched again with zero distances masked out.
+searched again with zero distances masked out. ``argmin`` copies an array
+whose rows are not contiguous, so the block always keeps whole rows: the
+columns a dimension no longer reaches are set to +inf, which never wins,
+rather than sliced off.
 """
 
 from __future__ import annotations
@@ -96,13 +99,11 @@ def _nearest_neighbors(
     cols = reach[1]
     found = {d: (np.empty(r, dtype=np.intp), np.empty(r)) for d, r in sizes.items()}
     step, blocks = _row_blocks(cols, n, tau, top - 1)
-    # a block row keeps stride n: a narrower buffer made Cao's search slower
-    dist_buf = np.empty((step, n))
+    # whole rows: argmin copies a block whose rows are not contiguous
+    dist_buf = np.empty((step, cols))
+    flat = dist_buf.reshape(-1)
+    row_starts = np.arange(0, step * cols, cols)
     row_buf = np.empty((step + top - 1, n))
-    block_rows = np.arange(step)
-    # a wider band masks no more columns, but its index array would grow
-    w = min(window, cols - 1)
-    band = np.arange(-w, w + 1)
     for first, h_block in blocks:
         # distances of the block's rows i start at dimension 1 and gain one
         # coordinate per step: D_{d+1}(i, j) = grow(D_d(i, j), gap(x[i+d*tau]
@@ -111,31 +112,34 @@ def _nearest_neighbors(
         dist_rows = row_buf[: min(h_block + top - 1, len(range(first, n, tau)))]
         _distance_rows(x, first, tau, dist_rows)
         gap(dist_rows, out=dist_rows)
-        dist = dist_buf[:h_block, :cols]
+        dist = dist_buf[:h_block]
         np.copyto(dist, dist_rows[:h_block, :cols])
-        # the Theiler band; a column clipped to the edge still lies inside it
-        rows = np.arange(first, first + h_block * tau, tau)
-        dist[block_rows[:h_block, None], np.clip(rows[:, None] + band, 0, cols - 1)] = np.inf
+        # the Theiler band
+        for k, i in enumerate(range(first, first + h_block * tau, tau)):
+            dist[k, max(0, i - window) : i + window + 1] = np.inf
         for d in range(1, top + 1):
             r = reach[d]
             h = min(h_block, len(range(first, r, tau)))
             if h == 0:
                 break
-            sub = dist[:h, :r]
+            # columns this dimension no longer reaches: +inf once, kept by grow
+            if d > 1 and r < reach[d - 1]:
+                dist[:h, r : reach[d - 1]] = np.inf
             if d in found:
-                nn = sub.argmin(axis=1)
-                den = sub[block_rows[:h], nn]
+                nn = dist[:h].argmin(axis=1)
+                den = flat.take(row_starts[:h] + nn)
                 # a nearest distance of 0 (a duplicate vector): search the
                 # row again for its nearest strictly positive neighbor
                 if not den.min() > 0.0:
                     again = np.flatnonzero(~(den > 0.0))
-                    redo = sub[again]
+                    redo = dist[again]
                     masked = np.where(redo > 0.0, redo, np.inf)
                     nn[again] = np.argmin(masked, axis=1)
                     den[again] = masked[np.arange(again.size), nn[again]]
                 found[d][0][first : first + h * tau : tau] = nn
                 found[d][1][first : first + h * tau : tau] = den
             if d < top:
+                sub = dist[:h, :r]
                 grow(sub, dist_rows[d : d + h, d * tau : d * tau + r], out=sub)
     return found
 
@@ -373,7 +377,11 @@ def lyapunov_rosenstein(
     keep = np.isfinite(ys)
     if keep.sum() < 2:
         raise NoValidPairsError("fewer than two usable points in the fit range")
-    slope = float(np.polyfit(ks[keep], ys[keep], 1)[0])
+    # the least-squares slope in closed form; np.polyfit's first LAPACK call
+    # alone makes about 1.3 MB resident
+    ks, ys = ks[keep], ys[keep]
+    kc = ks - ks.mean()
+    slope = float(np.dot(kc, ys - ys.mean()) / np.dot(kc, kc))
     return LyapunovEstimate(
         exponent=slope,
         divergence=divergence,

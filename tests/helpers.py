@@ -194,6 +194,33 @@ def dense_cao(x, tau, max_dim):
     return e1, e2
 
 
+def dense_nearest_neighbors(x, tau, sizes, window, chebyshev):
+    """Nearest neighbors from full distance matrices.
+
+    The O(n^2)-memory form of ``chaos._nearest_neighbors``, kept as an oracle
+    for the row-blocked search: per dimension d in ``sizes``, ``(nn, dist)``
+    over the first ``sizes[d]`` delay vectors, with distances built
+    coordinate by coordinate by the same float operations.
+    """
+    x = np.asarray(x, dtype=float)
+    found = {}
+    for d, r in sizes.items():
+        dist = np.zeros((r, r))
+        for c in range(d):
+            coord = x[c * tau : c * tau + r]
+            diff = coord[:, None] - coord[None, :]
+            if chebyshev:
+                np.maximum(dist, np.abs(diff), out=dist)
+            else:
+                dist += diff * diff
+        rows = np.arange(r)
+        dist[np.abs(rows[:, None] - rows[None, :]) <= window] = np.inf
+        dist[~(dist > 0.0)] = np.inf
+        nn = np.argmin(dist, axis=1)
+        found[d] = (nn, dist[rows, nn])
+    return found
+
+
 def dense_rosenstein(x, tau, m, window, k_max, fit_stop):
     """Rosenstein divergence curve from a full n x n squared-distance matrix.
 
@@ -228,7 +255,9 @@ def dense_rosenstein(x, tau, m, window, k_max, fit_stop):
     ks = np.arange(fit_stop + 1)
     ys = divergence[: fit_stop + 1]
     keep = np.isfinite(ys)
-    slope = float(np.polyfit(ks[keep], ys[keep], 1)[0])
+    ks, ys = ks[keep], ys[keep]
+    kc = ks - ks.mean()
+    slope = float(np.dot(kc, ys - ys.mean()) / np.dot(kc, kc))
     return slope, divergence, int(base.size)
 
 

@@ -1,9 +1,12 @@
 """Delay selection, embedding, divergence tracking, and the Cao curves."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaospi import chaos
 from chaospi.chaos import (
@@ -25,7 +28,14 @@ from chaospi.errors import (
     ZeroVarianceError,
 )
 from chaospi.series import TimeSeries
-from helpers import dense_cao, dense_rosenstein, henon_x, logistic_map, sine_wave
+from helpers import (
+    dense_cao,
+    dense_nearest_neighbors,
+    dense_rosenstein,
+    henon_x,
+    logistic_map,
+    sine_wave,
+)
 
 
 def brute_acf(x, max_lag):
@@ -124,6 +134,22 @@ class TestLyapunov:
         est = lyapunov_rosenstein(logistic_map(400), EmbeddingParams(tau=1, m=2))
         k_max = min(50, (400 - 1) // 10)
         assert est.divergence.shape == (k_max + 1,)
+
+    @pytest.mark.parametrize(
+        "x, m, fit_stop",
+        [
+            (henon_x(2000), 3, None),
+            (logistic_map(2000), 2, 8),
+            (np.random.default_rng(11).standard_normal(1000), 4, None),
+        ],
+        ids=["henon", "logistic", "noise"],
+    )
+    def test_closed_form_slope_matches_polyfit(self, x, m, fit_stop):
+        est = lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=m), fit_stop=fit_stop)
+        ks = np.arange(est.fit_start, est.fit_stop + 1)
+        ys = est.divergence[est.fit_start : est.fit_stop + 1]
+        keep = np.isfinite(ys)
+        assert est.exponent == pytest.approx(np.polyfit(ks[keep], ys[keep], 1)[0], rel=1e-12)
 
     def test_constant_series_has_no_valid_pairs(self):
         with pytest.raises(NoValidPairsError):
@@ -411,11 +437,13 @@ class TestBlockedNeighborSearch:
         assert est.exponent == pytest.approx(float.fromhex("0x1.567a3be0a852ep-2"), rel=1e-12)
 
     def test_peak_memory_stays_blocked(self):
-        # the dense n x n versions peak at about 343 MB and 275 MB here
+        # the dense n x n versions peak at about 343 MB and 275 MB here; the
+        # blocked ones at about 1.6 MB and 1.0 MB, and at 1.9 MB and 1.45 MB
+        # when every argmin copied its block
         x = henon_x(3000)
-        for call in (
-            lambda: cao_min_dimension(x, tau=1, max_dim=12),
-            lambda: lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2)),
+        for call, bound in (
+            (lambda: cao_min_dimension(x, tau=1, max_dim=12), 1.75 * 2**20),
+            (lambda: lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2)), 1.2 * 2**20),
         ):
             tracemalloc.start()
             try:
@@ -423,4 +451,45 @@ class TestBlockedNeighborSearch:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * 2**20
+            assert peak < bound
+
+
+@st.composite
+def _searches(draw):
+    """A neighbor search: series, delay, dimension sizes, Theiler window,
+    metric, and the rows per block."""
+    n = draw(st.integers(30, 400))
+    tau = draw(st.integers(1, 5))
+    top = draw(st.integers(1, 6))
+    dims = [d for d in range(1, top) if draw(st.booleans())] + [top]
+    # sizes never grow with d; dimension d < top is grown into d + 1
+    sizes, cap = {}, n
+    for d in dims:
+        full = min(cap, n - (d - 1) * tau if d == top else n - d * tau)
+        cap = sizes[d] = draw(st.just(full) | st.integers(1, full))
+    cols = max(sizes.values())
+    window = draw(st.integers(0, 12) | st.integers(0, cols + 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n)
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        # rounding makes zero distances and tied neighbors common
+        x = np.round(x, decimals)
+    # _BLOCK_ELEMS for blocks of `rows` rows, as in set_block_rows (extra = top - 1)
+    rows = draw(st.integers(1, 40))
+    return x, tau, sizes, window, draw(st.booleans()), (rows + top // 2) * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(search=_searches())
+def test_nearest_neighbors_match_dense_search(search):
+    x, tau, sizes, window, chebyshev, block_elems = search
+    with mock.patch.object(chaos, "_BLOCK_ELEMS", block_elems):
+        found = chaos._nearest_neighbors(x, tau, sizes, window, chebyshev)
+    dense = dense_nearest_neighbors(x, tau, sizes, window, chebyshev)
+    assert found.keys() == dense.keys()
+    for d, (nn, dist) in found.items():
+        dense_nn, dense_dist = dense[d]
+        assert np.array_equal(dist, dense_dist)
+        finite = np.isfinite(dense_dist)
+        assert np.array_equal(nn[finite], dense_nn[finite])
