@@ -51,9 +51,14 @@ def smape(actual, predicted) -> float | np.ndarray:
     """
     a, p = _paired(actual, predicted)
     denom = (np.abs(a) + np.abs(p)) / 2.0
-    num = np.abs(a - p)
-    terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-    return _reduced(100.0 / a.shape[-1] * np.sum(terms, axis=-1))
+    terms = np.abs(a - p)
+    positive = denom > 0
+    # the masked divide is slow; NaN fails ``> 0``, so it takes that path too
+    if positive.all():
+        terms /= denom
+    else:
+        terms = np.divide(terms, denom, out=np.zeros_like(terms), where=positive)
+    return _reduced(100.0 / a.shape[-1] * np.add.reduce(terms, axis=-1))
 
 
 def directional_symmetry(actual, predicted) -> float | np.ndarray:
@@ -63,18 +68,18 @@ def directional_symmetry(actual, predicted) -> float | np.ndarray:
     is strictly positive, so flat moves on either side never count.
     """
     a, p = _paired(actual, predicted, min_len=2)
-    hits = (np.diff(a) * np.diff(p)) > 0
-    return _reduced(100.0 * np.mean(hits, axis=-1))
+    hits = (a[..., 1:] - a[..., :-1]) * (p[..., 1:] - p[..., :-1]) > 0
+    return _reduced(100.0 * (np.count_nonzero(hits, axis=-1) / hits.shape[-1]))
 
 
 def picp(actual, lower, upper) -> float | np.ndarray:
     """Prediction interval coverage probability, bounds inclusive, in [0, 1]."""
     lo, hi = _paired(lower, upper)
     a, _ = _paired(actual, lo)
-    return _reduced(np.mean((a >= lo) & (a <= hi), axis=-1))
+    return _reduced(np.count_nonzero((a >= lo) & (a <= hi), axis=-1) / a.shape[-1])
 
 
 def piaw(lower, upper) -> float | np.ndarray:
     """Prediction interval average width."""
     lo, hi = _paired(lower, upper)
-    return _reduced(np.mean(hi - lo, axis=-1))
+    return _reduced(np.add.reduce(hi - lo, axis=-1) / hi.shape[-1])

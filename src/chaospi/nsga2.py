@@ -210,13 +210,20 @@ def sbx_crossover(
     active = crossed & (rng.random((pairs, n_vars)) < 0.5) & (np.abs(P1 - P2) > _SBX_EPS)
     u = rng.random((pairs, n_vars))
     swap = rng.random((pairs, n_vars)) < 0.5
-    exponent = 1.0 / (params.crossover_eta + 1.0)
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exponent
-    lo = 0.5 * ((1.0 + beta) * P1 + (1.0 - beta) * P2)
-    hi = 0.5 * ((1.0 - beta) * P1 + (1.0 + beta) * P2)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    beta **= 1.0 / (params.crossover_eta + 1.0)
+    plus = 1.0 + beta  # each weight formed once
+    minus = np.subtract(1.0, beta, out=beta)
+    lo = plus * P1
+    lo += minus * P2
+    lo *= 0.5
+    hi = minus * P1
+    hi += plus * P2
+    hi *= 0.5
     C1 = np.where(active, np.where(swap, hi, lo), P1)
     C2 = np.where(active, np.where(swap, lo, hi), P2)
-    return np.clip(C1, lower, upper), np.clip(C2, lower, upper)
+    # the method runs np.clip's ufunc without np.clip's Python wrapper
+    return C1.clip(lower, upper, out=C1), C2.clip(lower, upper, out=C2)
 
 
 def polynomial_mutation(
@@ -240,11 +247,16 @@ def polynomial_mutation(
         rate = 1.0 / n_vars
     mutated = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
     u = rng.random((k, n_vars))
-    exponent = 1.0 / (params.mutation_eta + 1.0)
-    delta = np.where(
-        u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent
-    )
-    return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
+    # (2u)^e - 1 below u = 0.5, else 1 - (2(1 - u))^e, with one power
+    low = u < 0.5
+    delta = np.where(low, u, 1.0 - u)
+    delta *= 2.0
+    delta **= 1.0 / (params.mutation_eta + 1.0)
+    delta = np.where(low, delta - 1.0, 1.0 - delta)
+    delta *= upper - lower
+    delta += X
+    Y = np.where(mutated, delta, X)
+    return Y.clip(lower, upper, out=Y)
 
 
 def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -310,14 +322,16 @@ def run(
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):
         if gen > 0:
-            i, j = tournament_select(rank, crowding, params.pop_size, rng).reshape(2, -1)
-            C1, C2 = sbx_crossover(X[i], X[j], lower, upper, params, rng)
+            # the first half of the winners pairs with the second
+            parents = tournament_select(rank, crowding, params.pop_size, rng)
+            X_par = X[parents]
+            half = params.pop_size // 2
+            C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, rng)
             offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
             # a child that neither crossover nor mutation changed keeps its
             # parent's objectives; only the others are evaluated
-            parents = np.concatenate([i, j])
             F_off = F[parents]
-            changed = ~np.all(offspring == X[parents], axis=1)
+            changed = (offspring != X_par).any(axis=1)
             if changed.any():
                 F_off[changed] = _evaluate(problem, offspring[changed])
             X = np.concatenate([X, offspring])

@@ -57,6 +57,9 @@ _BOUND_MARGIN = 1e-6
 # Bounds the grid search at 999 multipliers per side.
 _MIN_GRID_STEP = 0.001
 
+# +inf as an int64 bit pattern: the top of the non-negative floats.
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
+
 MODEL_KINDS = ("two_stage", "three_stage_single", "three_stage_dual")
 POINT_POLICIES = ("min_smape", "max_ds", "knee")
 INTERVAL_POLICIES = ("max_picp", "min_piaw_above")
@@ -364,6 +367,39 @@ def grid_search_r(
     return IntervalParams(r1=float(rs[j1[best]]), r2=float(rs[j2[best]]), sigma=float(sigma))
 
 
+def _coverage_thresholds(
+    actual: np.ndarray, predicted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted coverage thresholds of the points below and above their
+    forecasts, and the count of points on them.
+
+    The interval ``[p - t1, p + t2]`` covers a point below its forecast
+    exactly when ``t1`` reaches its threshold, the least float ``t >= 0``
+    with ``a >= p - t``, and one above it when ``t2`` reaches the least ``t``
+    with ``a <= p + t``: the same search on ``-a`` and ``-p``. A point on its
+    forecast is covered by every finite reach, and a NaN point by none.
+    Rounding is monotone, so each test flips once as ``t`` grows; a
+    bisection on the int64 images of the non-negative floats, which sort as
+    the floats do, finds where. A point below a forecast of +inf, which no
+    reach covers, gets a NaN threshold: it sorts last and is never counted.
+    """
+    below, above = actual < predicted, actual > predicted
+    a = np.concatenate([actual[below], -actual[above]])
+    p = np.concatenate([predicted[below], -predicted[above]])
+    lo = np.full(a.size, -1, dtype=np.int64)  # just below the image of +0.0
+    hi = np.full(a.size, _INF_BITS, dtype=np.int64)
+    with np.errstate(over="ignore"):  # p - t may round to -inf
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2  # (lo + hi) // 2 would overflow
+            hit = a >= p - mid.view(np.float64)
+            hi = np.where(hit, mid, hi)
+            lo = np.where(hit, lo, mid)
+    t = hi.view(np.float64)
+    t[p == np.inf] = np.nan
+    split = np.count_nonzero(below)
+    return np.sort(t[:split]), np.sort(t[split:]), int(np.count_nonzero(actual == predicted))
+
+
 def fit_stage3(
     actual: np.ndarray,
     predicted: np.ndarray,
@@ -380,6 +416,11 @@ def fit_stage3(
     r1, r2); multipliers live strictly inside (0, 1). Returns front 0 as
     ``(X, F)``: one multiplier row (``r`` or ``r1, r2``) and one
     ``(-picp, piaw)`` objective row per configuration.
+
+    PICP is counted from each point's coverage threshold, found once per
+    fit; for non-negative multipliers and a finite ``sigma`` it equals
+    ``metrics.picp`` on the same bounds bit for bit. PIAW is
+    ``metrics.piaw`` on them.
     """
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
@@ -390,11 +431,16 @@ def fit_stage3(
     if not sigma >= 0.0:
         raise ConfigError("sigma must be non-negative")
     n_vars = 1 if variant == "single" else 2
+    below, above, on = _coverage_thresholds(a, p)
 
     def evaluate(V: np.ndarray) -> np.ndarray:
-        lower = p - V[:, :1] * sigma
-        upper = p + V[:, -1:] * sigma
-        return np.column_stack([-metrics.picp(a, lower, upper), metrics.piaw(lower, upper)])
+        reach1, reach2 = V[:, :1] * sigma, V[:, -1:] * sigma
+        F = np.empty((V.shape[0], 2))
+        F[:, 0] = below.searchsorted(reach1[:, 0], "right") + on
+        F[:, 0] += above.searchsorted(reach2[:, 0], "right")
+        F[:, 0] /= -a.size  # -picp
+        F[:, 1] = metrics.piaw(p - reach1, p + reach2)
+        return F
 
     problem = Problem(
         lower=np.full(n_vars, _BOUND_MARGIN),

@@ -291,3 +291,68 @@ def dense_grid_search(actual, predicted, sigma, grid_step, picp_target):
     r1, r2 = rs[hit[:, 0]], rs[hit[:, 1]]
     best = np.lexsort((r2, r1, r1 + r2))[0]  # least (r1 + r2, r1, r2)
     return float(r1[best]), float(r2[best])
+
+
+# Plain forms of the engine's variation operators and of the metric kernels,
+# kept as oracles that the in-place versions must match bit for bit.
+
+
+def reference_sbx_crossover(P1, P2, lower, upper, params, rng):
+    """``nsga2.sbx_crossover`` with every expression written out."""
+    pairs, n_vars = P1.shape
+    crossed = (rng.random(pairs) < params.crossover_prob)[:, None]
+    active = crossed & (rng.random((pairs, n_vars)) < 0.5) & (np.abs(P1 - P2) > 1e-14)
+    u = rng.random((pairs, n_vars))
+    swap = rng.random((pairs, n_vars)) < 0.5
+    exponent = 1.0 / (params.crossover_eta + 1.0)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exponent
+    lo = 0.5 * ((1.0 + beta) * P1 + (1.0 - beta) * P2)
+    hi = 0.5 * ((1.0 - beta) * P1 + (1.0 + beta) * P2)
+    C1 = np.where(active, np.where(swap, hi, lo), P1)
+    C2 = np.where(active, np.where(swap, lo, hi), P2)
+    return np.clip(C1, lower, upper), np.clip(C2, lower, upper)
+
+
+def reference_polynomial_mutation(X, lower, upper, params, rng):
+    """``nsga2.polynomial_mutation`` with every expression written out."""
+    k, n_vars = X.shape
+    rate = params.mutation_prob_per_var
+    if rate is None:
+        rate = 1.0 / n_vars
+    mutated = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
+    u = rng.random((k, n_vars))
+    exponent = 1.0 / (params.mutation_eta + 1.0)
+    delta = np.where(
+        u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent
+    )
+    return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
+
+
+def reference_smape(a, p):
+    """``metrics.smape`` on float arrays, by the masked divide and ``np.sum``."""
+    denom = (np.abs(a) + np.abs(p)) / 2.0
+    num = np.abs(a - p)
+    terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+    return 100.0 / a.shape[-1] * np.sum(terms, axis=-1)
+
+
+def reference_directional_symmetry(a, p):
+    """``metrics.directional_symmetry`` on float arrays, by ``np.diff`` and ``np.mean``."""
+    hits = (np.diff(a) * np.diff(p)) > 0
+    return 100.0 * np.mean(hits, axis=-1)
+
+
+def reference_picp(a, lo, hi):
+    """``metrics.picp`` on float arrays, by ``np.mean`` of the verdicts."""
+    return np.mean((a >= lo) & (a <= hi), axis=-1)
+
+
+def reference_piaw(lo, hi):
+    """``metrics.piaw`` on float arrays, by ``np.mean`` of the widths."""
+    return np.mean(hi - lo, axis=-1)
+
+
+def same_bits(x, y):
+    """Whether two float results (scalars or arrays) agree bit for bit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()

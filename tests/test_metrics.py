@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 
 from chaospi.errors import EmptyInputError, LengthMismatchError, SeriesTooShortError
 from chaospi.metrics import directional_symmetry, piaw, picp, smape
+from helpers import (
+    reference_directional_symmetry,
+    reference_piaw,
+    reference_picp,
+    reference_smape,
+    same_bits,
+)
 
 
 def brute_smape(a, p):
@@ -175,3 +182,57 @@ def test_row_wise_validation():
         smape(a, np.zeros((2, 3, 4)))
     with pytest.raises(SeriesTooShortError):
         directional_symmetry(a[:1], P[:, :1])
+
+
+def assert_metrics_match_reference(a, P, Q):
+    """Every metric, one-dimensional and row-wise, bit for bit against the
+    kernels it replaced."""
+    lo, hi = np.minimum(P, Q), np.maximum(P, Q)
+    cases = [
+        (smape(a, P), reference_smape(a, P)),
+        (smape(P, Q), reference_smape(P, Q)),
+        (smape(a, P[0]), reference_smape(a, P[0])),
+        (directional_symmetry(a, P), reference_directional_symmetry(a, P)),
+        (directional_symmetry(P, Q), reference_directional_symmetry(P, Q)),
+        (directional_symmetry(a, P[0]), reference_directional_symmetry(a, P[0])),
+        (picp(a, lo, hi), reference_picp(a, lo, hi)),
+        (picp(Q, lo, hi), reference_picp(Q, lo, hi)),
+        (picp(a, lo[0], hi[0]), reference_picp(a, lo[0], hi[0])),
+        (piaw(lo, hi), reference_piaw(lo, hi)),
+        (piaw(lo[0], hi[0]), reference_piaw(lo[0], hi[0])),
+    ]
+    for i, (got, want) in enumerate(cases):
+        assert same_bits(got, want), (i, got, want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_metric_kernels_match_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+    # signed zeros, ties and, on odd seeds, NaN cells among normal draws
+    edge = [0.0, -0.0, 1.0, -1.0] + ([np.nan] if seed % 2 else [])
+
+    def draw(*shape):
+        x = rng.normal(0.0, 2.0, shape)
+        hit = rng.random(shape) < 0.3
+        x[hit] = rng.choice(edge, size=int(hit.sum()))
+        return x
+
+    assert_metrics_match_reference(draw(n), draw(k, n), draw(k, n))
+
+
+def test_smape_batch_with_one_zero_denominator_row_matches_reference():
+    rng = np.random.default_rng(7)
+    a = rng.uniform(1.0, 2.0, 12)
+    P = rng.uniform(1.0, 2.0, (4, 12))
+    a[3], P[2, 3] = 0.0, -0.0  # only row 2 has a term with |a| + |p| = 0
+    assert_metrics_match_reference(a, P, P[::-1].copy())
+    assert same_bits(smape(a, P[2]), reference_smape(a, P[2]))
+    assert same_bits(smape(a, P[1]), reference_smape(a, P[1]))
+
+
+def test_smape_nan_denominator_takes_the_masked_path():
+    # NaN fails ``> 0``, so its term is zero and the others still count
+    assert smape([np.nan, 1.0], [1.0, 1.0]) == 0.0
+    a, p = np.array([np.nan, 1.0]), np.array([1.0, 3.0])
+    assert smape(a, p) == reference_smape(a, p) == 50.0

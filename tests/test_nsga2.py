@@ -21,7 +21,14 @@ from chaospi.nsga2 import (
     sbx_crossover,
     tournament_select,
 )
-from helpers import brute_force_fronts, elitism_violations, reference_select
+from helpers import (
+    brute_force_fronts,
+    elitism_violations,
+    reference_polynomial_mutation,
+    reference_sbx_crossover,
+    reference_select,
+    same_bits,
+)
 
 
 def fronts_of(objs):
@@ -246,6 +253,51 @@ def test_mutation_spread_shrinks_with_eta():
         return np.mean(np.abs(polynomial_mutation(X, lo, hi, params, rng) - 0.5))
 
     assert mean_move(5.0) > mean_move(50.0)
+
+
+def edge_cells(seed, shape):
+    """Decision rows around the box [0, 1], some outside it, with cells of
+    0.0, -0.0, NaN and 1.0 mixed in."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.2, 1.2, shape)
+    hit = rng.random(shape) < 0.3
+    X[hit] = rng.choice([0.0, -0.0, np.nan, 1.0], size=int(hit.sum()))
+    return X
+
+
+# boxes whose bounds meet the edge cells, signed zeros included
+BOXES = [(0.0, 1.0), (-1.0, 1.0), (-0.0, 0.5), (-1.0, -0.0)]
+
+
+# eta 1 makes the exponent 0.5, which numpy's ``**`` takes as a square root
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.75, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 15.0])
+@pytest.mark.parametrize("box", BOXES)
+def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
+    params = params_for(3, crossover_prob=crossover_prob, crossover_eta=eta)
+    lo, hi = np.full(3, box[0]), np.full(3, box[1])
+    for seed in range(10):
+        P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
+        P2[:4] = P1[:4]  # equal parents
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sbx_crossover(P1, P2, lo, hi, params, rng)
+        want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
+
+
+@pytest.mark.parametrize("rate", [0.0, None, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 20.0])
+@pytest.mark.parametrize("box", BOXES)
+def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
+    params = params_for(3, mutation_prob_per_var=rate, mutation_eta=eta)
+    lo, hi = np.full(3, box[0]), np.full(3, box[1])
+    for seed in range(10):
+        X = edge_cells(seed, (24, 3))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = polynomial_mutation(X, lo, hi, params, rng)
+        assert same_bits(got, reference_polynomial_mutation(X, lo, hi, params, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_params_validation():

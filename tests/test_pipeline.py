@@ -270,16 +270,46 @@ def test_batched_stage2_objective_matches_per_vector_values(monkeypatch):
         assert f[1] == pytest.approx(-directional_symmetry(y, pred), abs=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["single", "dual"])
-def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(monkeypatch, variant):
+def stage3_inputs(case):
+    """(actual, predicted, sigma) for the stage-3 objective checks."""
     rng = np.random.default_rng(12)
     pred = rng.uniform(2.0, 4.0, 15)
     actual = pred + rng.normal(0.0, 0.4, 15)
-    sigma = 0.5
+    if case == "noisy":
+        return actual, pred, 0.5
+    if case == "sigma_not_a_power_of_two":
+        return actual, pred, 0.37
+    # tied predictions, actuals on a 0.1 grid so that gaps fall on multiples
+    # of sigma / 5, and every third point on its forecast
+    pred = np.repeat([2.0, 2.5, 3.1], 5)
+    actual = np.round(pred + rng.normal(0.0, 0.4, 15), 1)
+    actual[::3] = pred[::3]
+    return actual, pred, 0.0 if case == "zero_sigma" else 0.5
+
+
+@pytest.mark.parametrize(
+    "case", ["noisy", "sigma_not_a_power_of_two", "on_and_tied", "zero_sigma"]
+)
+@pytest.mark.parametrize("variant", ["single", "dual"])
+def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(
+    monkeypatch, variant, case
+):
+    actual, pred, sigma = stage3_inputs(case)
     problem = captured_problem(monkeypatch, fit_stage3, actual, pred, sigma, variant, SMALL_STAGE3, 0)
-    V = rng.uniform(problem.lower, problem.upper, size=(40, problem.lower.size))
+    d = problem.lower.size
+    V = [np.random.default_rng(3).uniform(problem.lower, problem.upper, size=(40, d))]
+    if sigma > 0.0:
+        # each point's gap in multiples of sigma and one ulp to either side;
+        # then reaches at each point's coverage threshold and one ulp below,
+        # exact where sigma is a power of two, so an ulp's error shows
+        r = np.abs(pred - actual) / sigma
+        t = np.concatenate(pipeline._coverage_thresholds(actual, pred)[:2])
+        probes = [r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]
+        probes += [t / sigma, np.nextafter(t, 0.0) / sigma]
+        V += [np.column_stack([q, q])[:, :d] for q in probes]
+    V = np.concatenate(V)
     got = problem.evaluate(V)
-    assert got.shape == (40, 2)
+    assert got.shape == (len(V), 2)
     for v, f in zip(V, got):
         r1, r2 = float(v[0]), float(v[-1])
         lower, upper = pred - r1 * sigma, pred + r2 * sigma
