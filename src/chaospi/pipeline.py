@@ -326,40 +326,33 @@ def grid_search_r(
     ``picp_target``; when no pair reaches it, maximizes coverage first. Ties
     always resolve to the lexicographically smallest (r1, r2).
 
-    Coverage is separable: a point below its forecast needs only r1, one
-    above only r2, and one on it is always covered. So each r1 needs just
-    the least r2 that reaches the coverage count sought.
+    Coverage is counted from the same per-point thresholds as stage 3's
+    PICP, so it equals ``metrics.picp`` on the returned bounds. It is
+    separable: a point below its forecast needs only r1, one above only r2,
+    and one on it is always covered. So each r1 needs just the least r2
+    that reaches the coverage count sought.
     """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.ndim != 1 or a.size == 0:
-        raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
+    below, above, on = _coverage_thresholds(actual, predicted, sigma)
     if not _MIN_GRID_STEP <= grid_step < 0.5:
         raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
     if not 0.0 < picp_target <= 1.0:
         raise ConfigError("picp_target must lie in (0, 1]")
-    if not sigma >= 0.0:
-        raise ConfigError("sigma must be non-negative")
-
-    count = int(math.floor((1.0 - grid_step) / grid_step + 1e-9))
-    rs = grid_step * np.arange(1, count + 1)
     if sigma == 0.0:
         warnings.warn(
             "training predictions are constant; intervals collapse to zero width",
             DegenerateTrainingWarning,
             stacklevel=2,
         )
-        return IntervalParams(r1=float(rs[0]), r2=float(rs[0]), sigma=0.0)
 
-    d = p - a
+    count = int(math.floor((1.0 - grid_step) / grid_step + 1e-9))
+    rs = grid_step * np.arange(1, count + 1)
     reach = rs * sigma
-    # points each multiplier covers on its side (NaN gaps are never covered)
-    low = np.searchsorted(np.sort(d[d > 0.0]), reach, side="right")
-    high = np.searchsorted(np.sort(-d[d < 0.0]), reach, side="right")
-    on = int(np.count_nonzero(d == 0.0))
+    # points each multiplier covers on its side
+    low = below.searchsorted(reach, "right")
+    high = above.searchsorted(reach, "right")
     # the least count meeting the target, or the most any pair covers
-    counts = np.arange(a.size + 1)
-    need = min(int(np.argmax(counts / a.size >= picp_target)), on + low[-1] + high[-1])
+    n = np.size(predicted)
+    need = min(int(np.argmax(np.arange(n + 1) / n >= picp_target)), on + low[-1] + high[-1])
     j2 = np.searchsorted(high, need - on - low, side="left")
     j1 = np.flatnonzero(j2 < count)
     j2 = j2[j1]
@@ -368,10 +361,11 @@ def grid_search_r(
 
 
 def _coverage_thresholds(
-    actual: np.ndarray, predicted: np.ndarray
+    actual: np.ndarray, predicted: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sorted coverage thresholds of the points below and above their
-    forecasts, and the count of points on them.
+    forecasts, and the count of points on them; the one coverage count of
+    both interval stages, which also checks their shared inputs.
 
     The interval ``[p - t1, p + t2]`` covers a point below its forecast
     exactly when ``t1`` reaches its threshold, the least float ``t >= 0``
@@ -383,6 +377,12 @@ def _coverage_thresholds(
     the floats do, finds where. A point below a forecast of +inf, which no
     reach covers, gets a NaN threshold: it sorts last and is never counted.
     """
+    actual = np.asarray(actual, dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    if actual.shape != predicted.shape or actual.ndim != 1 or actual.size == 0:
+        raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
+    if not sigma >= 0.0:
+        raise ConfigError("sigma must be non-negative")
     below, above = actual < predicted, actual > predicted
     a = np.concatenate([actual[below], -actual[above]])
     p = np.concatenate([predicted[below], -predicted[above]])
@@ -422,23 +422,18 @@ def fit_stage3(
     ``metrics.picp`` on the same bounds bit for bit. PIAW is
     ``metrics.piaw`` on them.
     """
-    a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
-    if a.shape != p.shape or a.ndim != 1 or a.size == 0:
-        raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
+    below, above, on = _coverage_thresholds(actual, p, sigma)
     if variant not in ("single", "dual"):
         raise ConfigError(f"variant must be 'single' or 'dual', got {variant!r}")
-    if not sigma >= 0.0:
-        raise ConfigError("sigma must be non-negative")
     n_vars = 1 if variant == "single" else 2
-    below, above, on = _coverage_thresholds(a, p)
 
     def evaluate(V: np.ndarray) -> np.ndarray:
         reach1, reach2 = V[:, :1] * sigma, V[:, -1:] * sigma
         F = np.empty((V.shape[0], 2))
         F[:, 0] = below.searchsorted(reach1[:, 0], "right") + on
         F[:, 0] += above.searchsorted(reach2[:, 0], "right")
-        F[:, 0] /= -a.size  # -picp
+        F[:, 0] /= -p.size  # -picp
         F[:, 1] = metrics.piaw(p - reach1, p + reach2)
         return F
 

@@ -275,15 +275,16 @@ def dense_grid_search(actual, predicted, sigma, grid_step, picp_target):
     """(r1, r2) from a full coverage table over every grid pair.
 
     The (1/step)^2-memory form of ``pipeline.grid_search_r`` for ``sigma > 0``
-    (no argument checks), kept as an oracle for the separable search.
+    (no argument checks), kept as an oracle for the separable search. A pair
+    covers a point as ``metrics.picp`` judges ``pipeline.pi_bounds``:
+    ``a >= p - r1*sigma`` and ``a <= p + r2*sigma``.
     """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
+    a = np.asarray(actual, dtype=float)[:, None]
+    p = np.asarray(predicted, dtype=float)[:, None]
     count = int(np.floor((1.0 - grid_step) / grid_step + 1e-9))
     rs = grid_step * np.arange(1, count + 1)
-    d = p - a
-    low_ok = d[:, None] <= rs[None, :] * sigma  # (n, k): r1 big enough below
-    high_ok = (-d)[:, None] <= rs[None, :] * sigma  # (n, k): r2 big enough above
+    low_ok = a >= p - rs[None, :] * sigma  # (n, k): the lower bound r1 gives is met
+    high_ok = a <= p + rs[None, :] * sigma  # (n, k): the upper bound r2 gives is met
     picp_grid = (low_ok.astype(float).T @ high_ok.astype(float)) / a.size
     hit = np.argwhere(picp_grid >= picp_target)
     if hit.size == 0:

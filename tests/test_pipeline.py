@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import os
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -199,18 +200,22 @@ class TestGridSearch:
         assert got.sigma == 0.0
         assert got.r1 == got.r2 == pytest.approx(0.02)
 
+    def test_coverage_is_judged_at_the_bound(self):
+        # the gap p - a rounds to 0.6000000000000001, above 0.6 * sigma, but
+        # the bound p - 0.6 * sigma is exactly -0.8, so r1 = 0.6 covers
+        pred, actual = np.array([-0.2]), np.array([-0.8])
+        got = grid_search_r(actual, pred, sigma=1.0, grid_step=0.3, picp_target=0.95)
+        assert (got.r1, got.r2) == (0.6, 0.3)
+        assert picp(actual, *pi_bounds(pred, got)) == 1.0
+
     def test_validation(self):
         a = np.zeros(3)
-        with pytest.raises(DimensionMismatchError):
-            grid_search_r(a, np.zeros(2), 1.0)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, grid_step=0.5)
         with pytest.raises(ConfigError):  # below the floor of 999 multipliers per side
             grid_search_r(a, a, 1.0, grid_step=1e-61)
         with pytest.raises(ConfigError):
             grid_search_r(a, a, 1.0, picp_target=0.0)
-        with pytest.raises(ConfigError):
-            grid_search_r(a, a, -1.0)
 
 
 class TestStage2:
@@ -303,7 +308,7 @@ def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(
         # then reaches at each point's coverage threshold and one ulp below,
         # exact where sigma is a power of two, so an ulp's error shows
         r = np.abs(pred - actual) / sigma
-        t = np.concatenate(pipeline._coverage_thresholds(actual, pred)[:2])
+        t = np.concatenate(pipeline._coverage_thresholds(actual, pred, sigma)[:2])
         probes = [r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]
         probes += [t / sigma, np.nextafter(t, 0.0) / sigma]
         V += [np.column_stack([q, q])[:, :d] for q in probes]
@@ -368,11 +373,27 @@ class TestStage3:
     def test_validation(self):
         with pytest.raises(ConfigError):
             fit_stage3(self.actual, self.pred, self.sigma, "triple", SMALL_STAGE3, 0)
-        with pytest.raises(DimensionMismatchError):
-            fit_stage3(self.actual[:3], self.pred, self.sigma, "dual", SMALL_STAGE3, 0)
-        for sigma in (-0.1, float("nan")):
-            with pytest.raises(ConfigError, match="sigma"):
-                fit_stage3(self.actual, self.pred, sigma, "dual", SMALL_STAGE3, 0)
+
+
+@pytest.mark.parametrize(
+    "actual, pred, sigma, error, message",
+    [
+        (np.zeros(0), np.zeros(0), 1.0, DimensionMismatchError, "matching 1-d"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), 1.0, DimensionMismatchError, "matching 1-d"),
+        (np.zeros(3), np.zeros(2), 1.0, DimensionMismatchError, "matching 1-d"),
+        (np.zeros(3), np.zeros(3), -0.1, ConfigError, "sigma"),
+        (np.zeros(3), np.zeros(3), float("nan"), ConfigError, "sigma"),
+    ],
+    ids=["empty", "2d", "mismatched", "negative_sigma", "nan_sigma"],
+)
+@pytest.mark.parametrize(
+    "fit",
+    [grid_search_r, partial(fit_stage3, variant="dual", params=SMALL_STAGE3, seed=0)],
+    ids=["grid_search_r", "fit_stage3"],
+)
+def test_interval_stages_share_input_checks(fit, actual, pred, sigma, error, message):
+    with pytest.raises(error, match=message):
+        fit(actual, pred, sigma)
 
 
 # Front 0 of a dual stage-3 run (pop 12, 20 generations, seed 11) on 40
