@@ -39,12 +39,6 @@ from .pipeline import (
     select_interval_params,
     select_point_model,
 )
-from .series import (
-    SummaryStats,
-    TimeSeries,
-    load_series,
-    summarize,
-    write_series,
-)
+from .series import TimeSeries, load_series
 
 __version__ = "0.1.0"

@@ -120,13 +120,8 @@ def _jsonify(value: Any) -> Any:
         return [_jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     return value
 
 
@@ -170,7 +165,7 @@ def _csv_text(header: list[str], rows) -> str:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(
-        [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
     )
     return buf.getvalue()
 

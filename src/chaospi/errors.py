@@ -16,8 +16,8 @@ class MissingFileError(ChaospiError):
     """An input path does not exist."""
 
 
-class ParseError(ChaospiError):
-    """A CSV cell could not be interpreted.
+class _RowError(ChaospiError):
+    """An error that may name the input row it arose on.
 
     Attributes:
         row: 1-based row number of the offending line, when known.
@@ -28,16 +28,16 @@ class ParseError(ChaospiError):
         self.row = row
 
 
+class ParseError(_RowError):
+    """A CSV cell could not be interpreted."""
+
+
 class EmptySeriesError(ChaospiError):
     """A series contains no observations."""
 
 
-class NonFiniteValueError(ChaospiError):
+class NonFiniteValueError(_RowError):
     """A series value is NaN or infinite."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message if row is None else f"row {row}: {message}")
-        self.row = row
 
 
 class InvalidSplitError(ChaospiError):

@@ -1,4 +1,4 @@
-"""Univariate series ingestion and summaries.
+"""Univariate series ingestion.
 
 Accepted CSV shapes:
 
@@ -65,14 +65,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    std_dev: float
-    minimum: float
-    maximum: float
 
 
 def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSeries:
@@ -143,35 +135,6 @@ def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSerie
     if len(values) < 2:
         raise SeriesTooShortError("a series needs at least two observations")
     return TimeSeries(np.array(values), labels)
-
-
-def write_series(series: TimeSeries, path: str | os.PathLike) -> None:
-    """Write a series as CSV (``date,value`` when labels exist, else ``value``).
-
-    Values are written with ``repr`` so a load/write cycle round-trips them
-    exactly.
-    """
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if series.labels is not None:
-            writer.writerow(["date", "value"])
-            for label, v in zip(series.labels, series.values):
-                writer.writerow([label, repr(float(v))])
-        else:
-            writer.writerow(["value"])
-            for v in series.values:
-                writer.writerow([repr(float(v))])
-
-
-def summarize(series: TimeSeries) -> SummaryStats:
-    """Mean, population standard deviation, and range of a series."""
-    v = series.values
-    return SummaryStats(
-        mean=float(np.mean(v)),
-        std_dev=float(np.std(v)),
-        minimum=float(np.min(v)),
-        maximum=float(np.max(v)),
-    )
 
 
 def _is_float(cell: str) -> bool:

@@ -1,6 +1,7 @@
 """Deterministic series generators and reference implementations shared
 across test modules."""
 
+import csv
 import math
 
 import numpy as np
@@ -29,6 +30,20 @@ def ar2_values(n=200, seed=2024, intercept=0.05, phi1=0.49, phi2=0.49,
     for t in range(2, n + burn_in):
         x[t] = intercept + phi1 * x[t - 1] + phi2 * x[t - 2] + rng.normal(0.0, noise_sd)
     return x[burn_in:]
+
+
+def write_series(series, path):
+    """Write a series as CSV (``date,value`` when labelled, else ``value``),
+    each value with ``repr`` so that loading it back is exact."""
+    values = series.values.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if series.labels is None:
+            writer.writerow(["value"])
+            writer.writerows([repr(v)] for v in values)
+        else:
+            writer.writerow(["date", "value"])
+            writer.writerows([label, repr(v)] for label, v in zip(series.labels, values))
 
 
 def brute_force_fronts(objs):

@@ -25,8 +25,8 @@ from chaospi.chaos import AnalyzeOptions, EmbeddingParams, analyze, lyapunov_ros
 from chaospi.errors import ConfigError
 from chaospi.nsga2 import NsgaParams
 from chaospi.pipeline import PipelineConfig
-from chaospi.series import TimeSeries, write_series
-from helpers import ar2_values, logistic_map
+from chaospi.series import TimeSeries
+from helpers import ar2_values, logistic_map, write_series
 
 SMALL_BLOCKS = {
     "stage2": {"pop_size": 16, "generations": 15},
@@ -803,4 +803,25 @@ def test_experiment_does_not_import_numpy_ma(tmp_path, series_csv):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in out.glob("eaf_*.csv"))
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_analyze_does_not_import_numpy_random(tmp_path):
+    # numpy.random pulls in secrets -> hmac -> OpenSSL, about 6 MB of peak
+    # RSS and 14 ms of start-up that analyze has no use for
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if loaded.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads numpy.random")
+    path = tmp_path / "logistic.csv"
+    write_series(TimeSeries(values=logistic_map(300)), path)
+    run = ("import sys, chaospi, chaospi.cli; rc = chaospi.cli.main(sys.argv[1:]); "
+           "print('numpy.random' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "analyze", "--input", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "chaos.json").exists()
     assert proc.stdout.splitlines()[-1] == "False"

@@ -114,6 +114,32 @@ def test_select_next_matches_full_sort_oracle():
             assert np.array_equal(g, w), f"case {case} diverged"
 
 
+def stage3_objectives(kind, n, rng):
+    """Rows shaped like a stage-3 population: f1 is -PICP on coverage levels
+    -k/7, f2 a continuous width."""
+    objs = np.column_stack([-rng.integers(0, 8, n) / 7.0, rng.uniform(0.0, 2.0, n)])
+    if kind == "copies":  # every unchanged child copies its parent
+        objs[n // 2 :] = objs[rng.permutation(n // 2)]
+    elif kind == "infinite":  # a tenth of the rows, at least one
+        objs[rng.choice(n, max(1, n // 10), replace=False), 0] = np.inf
+    return objs
+
+
+@pytest.mark.parametrize("kind, seed", [("copies", 2207), ("levels", 2208), ("infinite", 2209)])
+def test_select_next_matches_oracle_on_stage3_shapes(kind, seed):
+    """Bit for bit against the oracle on the objective shapes of stage 3,
+    cut just before, on and just after a front boundary."""
+    rng = np.random.default_rng(seed)
+    for case in range(200):
+        n = 2 * int(rng.integers(1, 31))
+        objs = stage3_objectives(kind, n, rng)
+        ends = np.cumsum([len(f) for f in brute_force_fronts(objs)])
+        pop_size = int(np.clip(rng.choice(ends) + case % 3 - 1, 1, n))
+        got = _select_next(objs, pop_size)
+        want = reference_select(objs, pop_size)
+        assert all(same_bits(g, w) for g, w in zip(got, want)), f"{kind} case {case} diverged"
+
+
 def test_crowding_known_case():
     d = crowding_distance(np.array([(0.0, 3.0), (1.0, 1.0), (2.0, 0.0)]))
     assert d[0] == np.inf and d[2] == np.inf

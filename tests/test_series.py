@@ -8,7 +8,8 @@ from chaospi.errors import (
     ParseError,
     SeriesTooShortError,
 )
-from chaospi.series import TimeSeries, load_series, summarize, write_series
+from chaospi.series import TimeSeries, load_series
+from helpers import write_series
 
 
 def test_load_single_column_without_header(tmp_path):
@@ -81,7 +82,7 @@ def test_column_without_header_rejected(tmp_path):
 def test_parse_error_reports_one_based_row(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("value\n1.0\noops\n")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ParseError, match=r"^row 3: not a number: 'oops'$") as exc:
         load_series(p)
     assert exc.value.row == 3
 
@@ -89,9 +90,10 @@ def test_parse_error_reports_one_based_row(tmp_path):
 def test_non_finite_cell_reports_row(tmp_path):
     p = tmp_path / "nan.csv"
     p.write_text("1.0\nnan\n3.0\n")
-    with pytest.raises(NonFiniteValueError) as exc:
+    with pytest.raises(NonFiniteValueError, match=r"^row 2: non-finite value: 'nan'$") as exc:
         load_series(p)
     assert exc.value.row == 2
+    assert not isinstance(exc.value, ParseError)
 
 
 def test_empty_value_cell_rejected(tmp_path):
@@ -160,11 +162,3 @@ def test_timeseries_validation():
     with pytest.raises(ParseError):
         TimeSeries(values=np.array([1.0, 2.0]), labels=["a"])
 
-
-def test_summarize_population_std():
-    s = TimeSeries(values=np.array([1.0, 2.0, 3.0, 4.0]))
-    stats = summarize(s)
-    assert stats.mean == 2.5
-    assert stats.std_dev == pytest.approx(np.sqrt(1.25), abs=1e-15)
-    assert stats.minimum == 1.0
-    assert stats.maximum == 4.0
