@@ -20,7 +20,8 @@ class _RowError(ChaospiError):
     """An error that may name the input row it arose on.
 
     Attributes:
-        row: 1-based row number of the offending line, when known.
+        row: 1-based number of the file line on which the offending
+            record ends (``csv.reader``'s ``line_num``), when known.
     """
 
     def __init__(self, message: str, row: int | None = None):

@@ -3,10 +3,19 @@ across test modules."""
 
 import csv
 import math
+import os
 
 import numpy as np
 
+from chaospi.errors import (
+    EmptySeriesError,
+    MissingFileError,
+    NonFiniteValueError,
+    ParseError,
+    SeriesTooShortError,
+)
 from chaospi.nsga2 import crowding_distance
+from chaospi.series import TimeSeries
 
 
 def logistic_map(n, x0=0.4):
@@ -44,6 +53,76 @@ def write_series(series, path):
         else:
             writer.writerow(["date", "value"])
             writer.writerows([label, repr(v)] for label, v in zip(series.labels, values))
+
+
+def reference_load_series(path, column=None):
+    """``series.load_series`` by way of a list of every non-blank row.
+
+    The list-building form of the streaming loader, kept as an oracle: each
+    check runs over the whole list in turn, so the fault it finds first is
+    the one that wins. Row errors name ``csv.reader``'s ``line_num``, the
+    file line on which the offending record ends.
+    """
+    path = os.fspath(path)
+    if not os.path.exists(path):
+        raise MissingFileError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [
+                (reader.line_num, row)
+                for row in reader
+                if row and any(cell.strip() for cell in row)
+            ]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
+    if not rows:
+        raise EmptySeriesError(f"no data rows in {path}")
+
+    first = rows[0][1]
+    width = len(first)
+    if any(len(r) != width for _, r in rows):
+        raise ParseError("inconsistent column count across rows")
+
+    value_idx = width - 1 if width <= 2 else None
+    has_header = False
+    try:
+        float(first[value_idx if value_idx is not None else -1])
+    except ValueError:
+        has_header = True
+    if column is not None:
+        if not has_header:
+            raise ParseError(f"column {column!r} requested but file has no header row")
+        try:
+            value_idx = first.index(column)
+        except ValueError:
+            raise ParseError(f"no column named {column!r} in header") from None
+    elif width > 2:
+        raise ParseError("files wider than two columns need an explicit column name")
+
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise EmptySeriesError(f"no data rows in {path}")
+
+    values = []
+    labels = [] if width > 1 else None
+    for line, row in data_rows:
+        cell = row[value_idx].strip()
+        if not cell:
+            raise ParseError("empty value cell", row=line)
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(f"not a number: {cell!r}", row=line) from None
+        if not math.isfinite(v):
+            raise NonFiniteValueError(f"non-finite value: {cell!r}", row=line)
+        values.append(v)
+        if labels is not None:
+            labels.append(row[0].strip())
+
+    if len(values) < 2:
+        raise SeriesTooShortError("a series needs at least two observations")
+    return TimeSeries(np.array(values), labels)
 
 
 def brute_force_fronts(objs):

@@ -40,7 +40,7 @@ from chaospi.pipeline import (
     select_point_model,
 )
 from chaospi.series import TimeSeries
-from helpers import ar2_values, dense_grid_search
+from helpers import ar2_values, dense_grid_search, same_bits
 
 SMALL_STAGE2 = NsgaParams(pop_size=20, generations=25, crossover_prob=0.8,
                           crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
@@ -319,6 +319,58 @@ def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(
         r1, r2 = float(v[0]), float(v[-1])
         lower, upper = pred - r1 * sigma, pred + r2 * sigma
         assert (f[0], f[1]) == (-picp(actual, lower, upper), piaw(lower, upper))
+
+
+def threshold_inputs(kind):
+    """(actual, predicted) pairs where a coverage threshold is easy to get
+    wrong by an ulp, or where the rounded gap is no guide at all."""
+    rng = np.random.default_rng(11)
+    n = 60
+    if kind == "sub_ulp_gaps":
+        pred = rng.uniform(-5.0, 5.0, n)
+        return pred + rng.integers(-3, 4, n) * np.spacing(pred), pred
+    if kind == "lattice":
+        pred = np.round(rng.uniform(-3.0, 3.0, n), 1)
+        return np.round(pred + rng.normal(0.0, 0.5, n), 1), pred
+    if kind == "near_1e15":
+        pred = 1e15 * rng.choice([-1.0, 1.0], n) + rng.integers(-50, 50, n)
+        return pred + rng.integers(-5, 6, n), pred
+    if kind == "on_forecast":
+        pred = rng.normal(0.0, 1.0, n)
+        return np.where(rng.random(n) < 0.5, pred, pred + rng.normal(0.0, 1.0, n)), pred
+    # huge magnitudes with infinities and NaN, each side drawn independently
+    extremes = np.array([1e300, -1e300, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan,
+                         0.0, 1.0, 5e-324, -5e-324])
+    with np.errstate(over="ignore"):
+        actual = rng.choice(extremes, n) * rng.choice([1.0, 1.5, 1.0 - 2.0**-53], n)
+    return actual, rng.choice(extremes, n)
+
+
+@pytest.mark.parametrize(
+    "kind", ["sub_ulp_gaps", "lattice", "near_1e15", "on_forecast", "extremes"]
+)
+def test_coverage_thresholds_are_the_least_covering_reaches(kind):
+    actual, pred = threshold_inputs(kind)
+    below, above, on = pipeline._coverage_thresholds(actual, pred, 1.0)
+    # one point at a time, each mirrored so that it lies below its forecast
+    lone = []
+    for a, p in zip(actual, pred):
+        if not (a < p or a > p):
+            continue  # on its forecast, or NaN
+        side = 1.0 if a < p else -1.0
+        b, x, _ = pipeline._coverage_thresholds(np.array([a]), np.array([p]), 1.0)
+        t = float((b if side > 0 else x)[0])
+        lone.append((side, t))
+        a, p = side * a, side * p
+        if p == np.inf:
+            assert math.isnan(t)  # no reach covers it
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert a >= p - t
+            assert not a >= p - np.nextafter(t, 0.0)
+    assert same_bits(below, np.sort([t for side, t in lone if side > 0]))
+    assert same_bits(above, np.sort([t for side, t in lone if side < 0]))
+    assert on == int(np.count_nonzero(actual == pred))
 
 
 class TestPointSelection:
