@@ -85,5 +85,9 @@ class ConfigError(ChaospiError):
     """A run configuration value is missing, malformed, or out of range."""
 
 
+class WorkerExitError(ChaospiError):
+    """A seed worker process ended before sending its share's results."""
+
+
 class DegenerateTrainingWarning(UserWarning):
     """Training predictions are constant; interval widths collapse to zero."""

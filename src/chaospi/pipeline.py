@@ -579,7 +579,7 @@ def run_model(
 
 def _seed_outcome(series, config, chaos, seed: int) -> RunResult | Exception:
     """One seeded run, or the exception it raised; module-level so that the
-    bound job pickles for a process pool under any start method."""
+    bound job pickles for a worker process under any start method."""
     try:
         return _run_seeded(series, config, chaos, seed)
     except Exception as exc:  # noqa: BLE001 - preserved in the report
@@ -594,11 +594,12 @@ def run_experiment(
 ) -> ExperimentReport:
     """Re-run one model over many seeds and aggregate test-set quality.
 
-    The chaos analysis runs once and is shipped with every seed's job. Seeds
-    run in a pool of ``min(workers, len(seeds), usable CPUs)`` processes, or
-    serially in this process when that is 1; results come back in seed order,
-    so the report does not depend on ``workers``. A failing seed is recorded
-    and skipped; aggregates cover the successful runs.
+    The chaos analysis runs once and is shared by every seed's run. Seeds
+    run in ``min(workers, len(seeds), usable CPUs)`` worker processes, one
+    per share of them (``workers.run_shares``), or serially in this process
+    when that is 1; results come back in seed order, so the report does not
+    depend on ``workers``. A failing seed is recorded and skipped; aggregates
+    cover the successful runs. A worker that dies raises ``WorkerExitError``.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
@@ -617,10 +618,9 @@ def run_experiment(
     if size == 1:
         outcomes = [job(s) for s in seeds]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from .workers import run_shares
 
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = list(pool.map(job, seeds))
+        outcomes = run_shares(job, seeds, size)
 
     results = [o for o in outcomes if isinstance(o, RunResult)]
     failures = [(seed, f"{type(o).__name__}: {o}")

@@ -3,9 +3,11 @@ across test modules."""
 
 import csv
 import math
+import multiprocessing
 import os
 
 import numpy as np
+import pytest
 
 from chaospi.errors import (
     EmptySeriesError,
@@ -16,6 +18,17 @@ from chaospi.errors import (
 )
 from chaospi.nsga2 import crowding_distance
 from chaospi.series import TimeSeries
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="a patched seed job reaches the workers only when they are forked",
+)
+
+
+def exit_in_worker(*args):
+    """A seed job that kills the worker process running it."""
+    os._exit(3)
 
 
 def logistic_map(n, x0=0.4):

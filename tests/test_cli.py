@@ -26,7 +26,7 @@ from chaospi.errors import ConfigError
 from chaospi.nsga2 import NsgaParams
 from chaospi.pipeline import PipelineConfig
 from chaospi.series import TimeSeries
-from helpers import ar2_values, logistic_map, write_series
+from helpers import ar2_values, exit_in_worker, fork_only, logistic_map, write_series
 
 SMALL_BLOCKS = {
     "stage2": {"pop_size": 16, "generations": 15},
@@ -378,6 +378,18 @@ def test_workers_below_one_exit_one(tmp_path, series_csv, capsys, workers):
     assert rc == 1
     assert "error: workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@fork_only
+def test_dead_worker_exits_one(tmp_path, series_csv, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(pipeline, "_seed_outcome", exit_in_worker)
+    cfg = write_config(tmp_path, workers=2)
+    rc = cli.main(["experiment", "--input", str(series_csv), "--config", str(cfg),
+                   "--seeds", "0,1,2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: the worker running seeds [0, 2] exited with code 3 before sending their results\n"
 
 
 def test_removed_seed_key_names_its_replacements(tmp_path, series_csv, capsys):
@@ -824,4 +836,47 @@ def test_analyze_does_not_import_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "chaos.json").exists()
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_parallel_experiment_does_not_import_concurrent_futures(tmp_path, series_csv):
+    # the pool module pulls in queues, a management thread, logging and
+    # traceback: about 1.3 MB of peak RSS in the measured process
+    probe = "import sys, numpy; print('concurrent.futures' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if loaded.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads concurrent.futures")
+    # two usable CPUs, so the seeds run in worker processes on any machine
+    run = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+           "from chaospi import cli; rc = cli.main(sys.argv[1:]); "
+           "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules); "
+           "sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "experiment", "--input", str(series_csv),
+         "--config", str(write_config(tmp_path, workers=2)), "--seeds", "1,2",
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
+@pytest.mark.parametrize("command", ["analyze", "experiment"])
+def test_serial_commands_do_not_import_multiprocessing(tmp_path, command):
+    # only an experiment on more than one worker needs worker processes
+    probe = "import sys, numpy; print('multiprocessing' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    if loaded.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads multiprocessing")
+    path = tmp_path / "logistic.csv"
+    write_series(TimeSeries(values=logistic_map(300)), path)
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    if command == "experiment":
+        argv += ["--config", str(write_config(tmp_path, workers=1)), "--seeds", "1,2"]
+    run = ("import sys, chaospi, chaospi.cli; rc = chaospi.cli.main(sys.argv[1:]); "
+           "print('multiprocessing' in sys.modules); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / ("chaos.json" if command == "analyze" else "report.json")).exists()
     assert proc.stdout.splitlines()[-1] == "False"

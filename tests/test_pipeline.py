@@ -1,11 +1,15 @@
 """Pipeline tests: the stage fits against recomputed metrics, the grid
 search against exhaustive enumeration, and the seeded runs end to end."""
 
-import concurrent.futures
+import contextlib
 import math
+import multiprocessing
 import os
 import pickle
+import signal
+import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from chaospi.errors import (
     EmptyFrontError,
     InvalidSplitError,
     SeriesTooShortError,
+    WorkerExitError,
     ZeroVarianceError,
 )
 from chaospi.metrics import directional_symmetry, piaw, picp, smape
@@ -40,7 +45,7 @@ from chaospi.pipeline import (
     select_point_model,
 )
 from chaospi.series import TimeSeries
-from helpers import ar2_values, dense_grid_search, same_bits
+from helpers import ar2_values, dense_grid_search, exit_in_worker, fork_only, same_bits
 
 SMALL_STAGE2 = NsgaParams(pop_size=20, generations=25, crossover_prob=0.8,
                           crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
@@ -59,39 +64,44 @@ def small_config(**kw):
     return PipelineConfig(**base)
 
 
-def use_recording_pool(monkeypatch, cpus, affinity=True):
-    """Give ``run_experiment`` ``cpus`` usable CPUs and, in place of the
-    process pool, one that records its size and job and runs the job in this
-    process, so no process is started. Returns the pools made.
+def use_cpus(monkeypatch, cpus, affinity=True):
+    """Give ``run_experiment`` ``cpus`` usable CPUs.
 
     With ``affinity`` the CPUs are this process's affinity set and
     ``os.cpu_count`` reports many more; without it ``os.sched_getaffinity``
     is absent, as on macOS, and ``os.cpu_count`` reports ``cpus``."""
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            self.job = fn
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def use_recording_pool(monkeypatch, cpus, affinity=True):
+    """Give ``run_experiment`` ``cpus`` usable CPUs (see ``use_cpus``) and,
+    in place of its worker processes, a stand-in that records the number of
+    workers and the job and runs the job in this process, so no process is
+    started. Returns the pools made."""
+    pools = []
+
+    def recording_shares(job, seeds, size):
+        pools.append(SimpleNamespace(max_workers=size, job=job))
+        return [job(s) for s in seeds]
+
+    monkeypatch.setattr("chaospi.workers.run_shares", recording_shares)
+    use_cpus(monkeypatch, cpus, affinity)
     return pools
+
+
+def assert_same_runs(serial, parallel):
+    """The two experiment reports agree seed for seed."""
+    for a, b in zip(serial.results, parallel.results, strict=True):
+        assert a.seed == b.seed
+        assert np.array_equal(a.point_model.coeffs, b.point_model.coeffs)
+        assert (a.test.picp, a.test.piaw) == (b.test.picp, b.test.piaw)
+    assert serial.picp_mean == parallel.picp_mean
+    assert serial.piaw_std == parallel.piaw_std
 
 
 def dummy_model(m=1):
@@ -628,12 +638,53 @@ class TestExperiment:
         seeds = [0, 1, 2]
         serial = run_experiment(self.series, self.config, seeds, workers=1)
         parallel = run_experiment(self.series, self.config, seeds, workers=3)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.seed == b.seed
-            assert np.array_equal(a.point_model.coeffs, b.point_model.coeffs)
-            assert (a.test.picp, a.test.piaw) == (b.test.picp, b.test.piaw)
-        assert serial.picp_mean == parallel.picp_mean
-        assert serial.piaw_std == parallel.piaw_std
+        assert_same_runs(serial, parallel)
+
+    def test_uneven_shares_agree_with_serial(self, monkeypatch):
+        # two workers split five seeds three and two, in real processes
+        use_cpus(monkeypatch, cpus=2)
+        seeds = [4, 0, 3, 1, 2]
+        serial = run_experiment(self.series, self.config, seeds, workers=1)
+        parallel = run_experiment(self.series, self.config, seeds, workers=2)
+        assert [r.seed for r in parallel.results] == seeds
+        assert_same_runs(serial, parallel)
+
+    @fork_only
+    def test_dead_worker_is_a_domain_error(self, monkeypatch):
+        use_cpus(monkeypatch, cpus=2)
+        monkeypatch.setattr(pipeline, "_seed_outcome", exit_in_worker)
+        with pytest.raises(WorkerExitError, match=r"seeds \[0, 2\] exited with code 3"):
+            run_experiment(self.series, self.config, [0, 1, 2, 3], workers=2)
+
+    @pytest.mark.parametrize("case", [
+        "success",
+        "failing_seeds",
+        pytest.param("dead_worker", marks=fork_only),
+        pytest.param("interrupt", marks=fork_only),
+    ])
+    def test_no_worker_outlives_the_run(self, monkeypatch, case):
+        use_cpus(monkeypatch, cpus=2)
+        series, config, raised = self.series, self.config, contextlib.nullcontext()
+        if case == "failing_seeds":  # as in test_failing_seeds_are_recorded
+            series = TimeSeries(values=ar2_values(n=30, seed=8))
+            config = small_config(test_horizon=25)
+        elif case == "dead_worker":
+            monkeypatch.setattr(pipeline, "_seed_outcome", exit_in_worker)
+            raised = pytest.raises(WorkerExitError)
+        elif case == "interrupt":
+            # Ctrl-C reaches the parent while its workers are still running
+            monkeypatch.setattr(pipeline, "_seed_outcome", lambda *args: time.sleep(60))
+            previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            raised = pytest.raises(KeyboardInterrupt)
+        try:
+            with raised:
+                run_experiment(series, config, [0, 1], workers=2)
+        finally:
+            if case == "interrupt":
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_aggregates_are_population_moments(self):
         report = run_experiment(self.series, self.config, [0, 1, 2, 3])
