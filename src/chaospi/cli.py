@@ -438,7 +438,8 @@ def cmd_eaf(args: argparse.Namespace) -> int:
 def _read_front(path: str) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            # blank and whitespace-only rows are skipped, as load_series does
+            rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     except UnicodeDecodeError:
         raise EmptyFrontError(f"{path} is not UTF-8 text") from None
     if len(rows) < 2 or rows[0][:2] != ["f1", "f2"]:

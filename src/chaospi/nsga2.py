@@ -18,10 +18,8 @@ Both objectives are minimized. Callers wanting to maximize an objective
 negate it and un-negate on the way out; the engine never special-cases
 orientation.
 
-Evaluation: ``Problem.evaluate`` gets the initial population, then at most
-one batch per generation: the children that crossover or mutation changed,
-in population order. A child equal to its parent takes the parent's
-objectives, so ``evaluate`` must be a pure function.
+Evaluation: ``Problem.evaluate`` is called once for the initial population,
+then once per generation with all ``pop_size`` children in population order.
 
 Determinism: all stochastic choices come from one ``numpy`` Generator seeded
 with PCG64 (a named, documented 64-bit PRNG), drawn as whole arrays in a
@@ -53,9 +51,10 @@ class Problem:
     The bounds are matching, non-empty 1-D arrays; their length is the
     number of decision variables ``d``. ``evaluate`` maps a ``(k, d)`` batch
     of decision vectors to a ``(k, 2)`` array of their objective values (any
-    other shape raises ``DimensionMismatchError``). Each row's values must depend on that row
-    alone (the engine reuses the values of an unchanged vector); any
-    exception it raises aborts the run and propagates unchanged.
+    other shape raises ``DimensionMismatchError``). The engine calls it once
+    for the initial population, then once per generation with all
+    ``pop_size`` children; any exception it raises aborts the run and
+    propagates unchanged.
     """
 
     lower: np.ndarray
@@ -323,19 +322,12 @@ def run(
     for gen in range(params.generations + 1):
         if gen > 0:
             # the first half of the winners pairs with the second
-            parents = tournament_select(rank, crowding, params.pop_size, rng)
-            X_par = X[parents]
+            X_par = X[tournament_select(rank, crowding, params.pop_size, rng)]
             half = params.pop_size // 2
             C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, rng)
             offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
-            # a child that neither crossover nor mutation changed keeps its
-            # parent's objectives; only the others are evaluated
-            F_off = F[parents]
-            changed = (offspring != X_par).any(axis=1)
-            if changed.any():
-                F_off[changed] = _evaluate(problem, offspring[changed])
             X = np.concatenate([X, offspring])
-            F = np.concatenate([F, F_off])
+            F = np.concatenate([F, _evaluate(problem, offspring)])
         keep, rank, crowding = _select_next(F, params.pop_size)
         X, F = X[keep], F[keep]
         if on_generation is not None:

@@ -480,11 +480,18 @@ def select_interval_params(
     return _least(F, 0)
 
 
-def _stage_seeds(seed: int) -> tuple[int, int]:
-    """Independent per-stage seeds derived from one run seed."""
+def _run_seed(seed) -> int:
+    """``seed`` as an int; it must be a non-negative Python or numpy integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"run seeds must be integers, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"run seeds must be non-negative, got {seed}")
-    children = np.random.SeedSequence(seed).spawn(2)
+    return int(seed)
+
+
+def _stage_seeds(seed: int) -> tuple[int, int]:
+    """Independent per-stage seeds derived from one run seed."""
+    children = np.random.SeedSequence(_run_seed(seed)).spawn(2)
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
@@ -601,16 +608,14 @@ def run_experiment(
     depend on ``workers``. A failing seed is recorded and skipped; aggregates
     cover the successful runs. A worker that dies raises ``WorkerExitError``.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    seeds = [_run_seed(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
     repeated = [s for s, c in Counter(seeds).items() if c > 1]
     if repeated:
         raise ConfigError(f"seed {repeated[0]} appears more than once in the seed list")
-    negative = [s for s in seeds if s < 0]
-    if negative:
-        raise ConfigError(f"run seeds must be non-negative, got {negative[0]}")
     chaos = analyze(series, config.chaos)
     job = partial(_seed_outcome, series, config, chaos)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -631,7 +636,7 @@ def run_experiment(
         piaws = np.array([r.test.piaw for r in results])
         stats = [float(v) for v in (picps.mean(), picps.std(), piaws.mean(), piaws.std())]
     return ExperimentReport(
-        seeds=list(seeds),
+        seeds=seeds,
         chaos=chaos,
         results=results,
         failures=failures,

@@ -203,6 +203,27 @@ def test_eaf_command_needs_front_files(tmp_path):
     assert cli.main(["eaf", "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, rc",
+    [
+        ("f1,f2\n0.1,0.9\n0.5,0.4\n\n", 0),
+        ("f1,f2\n0.1,0.9\n  \n0.5,0.4\n , \n", 0),
+        ("f1,f2\n0.1,0.9\n0.5,x\n\n", 1),
+    ],
+    ids=["trailing_blank_row", "whitespace_rows", "non_number"],
+)
+def test_eaf_command_skips_blank_front_rows(tmp_path, capsys, text, rc):
+    (tmp_path / "fronts").mkdir()
+    (tmp_path / "fronts" / "seed_0.csv").write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["eaf", "--input", str(tmp_path), "--out", str(out)]) == rc
+    if rc == 0:
+        best = (out / "eaf_best.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in best[1:]] == [["0.1", "0.9"], ["0.5", "0.4"]]
+    else:
+        assert "malformed front rows" in capsys.readouterr().err
+
+
 def test_reused_out_dir_drops_stale_chaos_curves(tmp_path):
     logistic, constant = tmp_path / "logistic.csv", tmp_path / "constant.csv"
     write_series(TimeSeries(values=logistic_map(300)), logistic)

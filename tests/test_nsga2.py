@@ -428,39 +428,18 @@ def test_run_zero_generations_returns_initial_front():
     assert all(f in rank0 for _, f in front)
 
 
-def test_unchanged_children_are_not_reevaluated():
-    # with neither crossover nor mutation every child copies its parent, so
-    # only the initial population is evaluated and copies keep their values
-    calls = []
-    inner = two_bowl_problem().evaluate
-
-    def evaluate(X):
-        calls.append(X.copy())
-        return inner(X)
-
-    problem = Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
-    params = params_for(1, generations=5, crossover_prob=0.0, mutation_prob=0.0)
-    front, F = final_objectives(problem, params)
-    assert len(calls) == 1 and calls[0].shape == (params.pop_size, 1)
-    assert all(f == tuple(inner(x[None, :])[0]) for x, f in front)
-
-
-def test_evaluate_gets_only_changed_children_once_per_generation(monkeypatch):
-    """One 2-D batch for the initial population, then at most one per
-    generation, holding exactly the children that differ from their parent
-    in population order; a generation with no such child makes no call."""
-    events, parents, children = [], [], []
-    sbx, mutate = nsga2.sbx_crossover, nsga2.polynomial_mutation
-
-    def sbx_spy(P1, P2, *args):
-        parents.append(np.concatenate([P1, P2]))
-        return sbx(P1, P2, *args)
+@pytest.mark.parametrize("rates", [0.9, 0.0], ids=["varied", "no_variation"])
+def test_evaluate_gets_every_child_once_per_generation(monkeypatch, rates):
+    """One batch for the initial population, then one per generation holding
+    exactly the mutated offspring array in population order, also when no
+    child differs from its parent."""
+    events, children = [], []
+    mutate = nsga2.polynomial_mutation
 
     def mutate_spy(*args):
         children.append(mutate(*args))
         return children[-1]
 
-    monkeypatch.setattr(nsga2, "sbx_crossover", sbx_spy)
     monkeypatch.setattr(nsga2, "polynomial_mutation", mutate_spy)
     inner = two_bowl_problem().evaluate
 
@@ -469,27 +448,15 @@ def test_evaluate_gets_only_changed_children_once_per_generation(monkeypatch):
         return inner(X)
 
     problem = Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
-    # low rates leave some generations without a changed child
-    params = params_for(1, pop_size=4, generations=40, crossover_prob=0.2, mutation_prob=0.2)
+    params = params_for(1, pop_size=6, generations=8, crossover_prob=rates, mutation_prob=rates)
     run(problem, params, seed=3, on_generation=lambda g, F: events.append(("gen", g)))
 
-    assert events[0][0] == "eval" and events[0][1].shape == (4, 1)
-    batches = {}
-    for prev, (kind, value) in zip(events, events[1:]):
-        if kind == "eval":
-            assert prev[0] == "gen", "two evaluate calls in one generation"
-            batches[prev[1] + 1] = value
-    skipped = 0
-    for gen in range(1, params.generations + 1):
-        off, par = children[gen - 1], parents[gen - 1]
-        changed = off[np.any(off != par, axis=1)]
-        if changed.size:
-            assert np.array_equal(batches[gen], changed)
-        else:
-            assert gen not in batches
-            skipped += 1
-    assert all(b.ndim == 2 and b.shape[0] > 0 for b in batches.values())
-    assert 0 < skipped < params.generations
+    kinds = [kind for kind, _ in events]
+    assert kinds == ["eval", "gen"] + ["eval", "gen"] * params.generations
+    assert events[0][1].shape == (6, 1)
+    batches = [X for kind, X in events[2:] if kind == "eval"]
+    for batch, child in zip(batches, children, strict=True):
+        assert batch.shape == (6, 1) and np.array_equal(batch, child)
 
 
 @pytest.mark.parametrize(

@@ -489,6 +489,40 @@ def test_stage3_reproduces_pinned_front():
     assert F.tolist() == PINNED_STAGE3_F
 
 
+# Front 0 of a stage-2 run (pop 12, 20 generations, seed 11) on an AR(2)
+# draw of 80 points embedded with tau = 1, m = 2, recorded with repr
+# precision. The objective is a BLAS matrix product, so the values also
+# hold the batches the engine hands it to their shape.
+PINNED_STAGE2_X = [
+    [0.486889700343153, -0.37034301376547324, 0.40500605936429374],
+    [0.42973047169567496, 0.3174959224107795, 0.499999],
+    [0.486889700343153, -0.37034301376547324, 0.40500605936429374],
+    [0.4705835139971294, 0.02785972739289852, 0.499999],
+    [0.471143685571581, 0.07046678058024393, 0.4993251707195935],
+    [0.486889700343153, -0.37034301376547324, 0.499999],
+    [0.499999, -0.24310526442286687, 0.499999], [0.499999, -0.24310526442286687, 0.499999],
+    [0.499999, -0.32141162377298593, 0.499999],
+    [0.4490009480677739, 0.1881245150540663, 0.499999],
+    [0.4533222934393501, 0.22593611069731612, 0.499999],
+    [0.4539475833543145, 0.2708098568277778, 0.499999],
+]
+PINNED_STAGE2_F = [
+    [120.65522978858485, -66.23376623376623], [1.8770872337206945, -46.75324675324675],
+    [120.65522978858485, -66.23376623376623], [30.955266092082784, -57.14285714285714],
+    [25.47729984159915, -53.246753246753244], [98.09997550004614, -64.93506493506493],
+    [71.26529693381913, -62.33766233766234], [71.26529693381913, -62.33766233766234],
+    [86.44368193478859, -63.63636363636363], [12.50763015695204, -51.94805194805194],
+    [8.127188622497773, -49.35064935064935], [3.5853436482209107, -48.05194805194805],
+]
+
+
+def test_stage2_reproduces_pinned_front():
+    data = reconstruct(TimeSeries(values=ar2_values(80, 9)), EmbeddingParams(tau=1, m=2))
+    X, F = fit_stage2(data.inputs, data.targets, data.params, NsgaParams(12, 20), 11)
+    assert X.tolist() == PINNED_STAGE2_X
+    assert F.tolist() == PINNED_STAGE2_F
+
+
 class TestIntervalSelection:
     # (-picp, piaw) rows
     def front(self):
@@ -712,15 +746,31 @@ class TestExperiment:
         with pytest.raises(ConfigError, match="seed 3 appears more than once"):
             run_experiment(self.series, self.config, [1, 3, 2, 3])
 
-    def test_negative_seed_is_rejected_before_any_work(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "non-negative, got -1"),
+            (1.5, "integers, got 1.5"),
+            (True, "integers, got True"),
+            (np.float64(2.0), "integers"),
+            ("3", "integers, got '3'"),
+        ],
+        ids=["negative", "float", "bool", "numpy_float", "str"],
+    )
+    def test_bad_seed_is_rejected_before_any_work(self, monkeypatch, seed, message):
         def no_analysis(*args):
             raise AssertionError("the chaos analysis ran")
 
         monkeypatch.setattr(pipeline, "analyze", no_analysis)
-        with pytest.raises(ConfigError, match="run seeds must be non-negative, got -1"):
-            run_experiment(self.series, self.config, [2, -1])
+        with pytest.raises(ConfigError, match=f"run seeds must be {message}"):
+            run_experiment(self.series, self.config, [2, seed])
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+    def test_numpy_integer_seeds_run_as_python_ints(self):
+        report = run_experiment(self.series, self.config, np.arange(2))
+        assert report.seeds == [0, 1] and all(type(s) is int for s in report.seeds)
+        assert_same_runs(report, run_experiment(self.series, self.config, [0, 1]))
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True, np.float64(2.0)])
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(self.series, self.config, [0], workers=workers)
