@@ -4,15 +4,17 @@ Implemented from first principles after Deb, Pratap, Agarwal & Meyarivan
 (2002): non-dominated sorting, crowding distance, binary tournament selection
 under the crowded comparison operator, simulated binary crossover (SBX),
 polynomial mutation, and (mu + lambda) elitist replacement. Fronts are peeled
-one vectorised pass at a time, and survivor selection stops peeling once the
-population is full.
+one vectorised pass at a time from one sort of the rows, survivor selection
+stops peeling once the population is full, and it reads crowding distances
+from that same sort.
 
 The population is held as arrays: decision vectors ``X`` of shape
 ``(pop, d)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
 crowding distance as per-row arrays alongside. A generation is a handful of
-array operations: all tournaments in one draw, SBX over all pairs, mutation
+array operations: all tournaments at once, SBX over all pairs, mutation
 over all children, one batched evaluation, and survivor selection by row
-indices into the merged parents + offspring arrays.
+indices into the merged parents + offspring arrays. The operators are pure
+functions of the uniforms they are handed.
 
 Both objectives are minimized. Callers wanting to maximize an objective
 negate it and un-negate on the way out; the engine never special-cases
@@ -22,11 +24,15 @@ Evaluation: ``Problem.evaluate`` is called once for the initial population,
 then once per generation with all ``pop_size`` children in population order.
 
 Determinism: all stochastic choices come from one ``numpy`` Generator seeded
-with PCG64 (a named, documented 64-bit PRNG), drawn as whole arrays in a
-fixed order each generation (tournaments, then SBX, then mutation), so
-identical (problem, params, seed) triples reproduce runs bit for bit.
-Reproducibility is per seed and per draw order: drawing another array, or
-the same arrays in another order, changes the results of every seed.
+with PCG64 (a named, documented 64-bit PRNG). Each generation makes two
+draws: one ``integers`` call for the tournaments' contenders, then one
+``random`` block that is split, in a fixed order, into the tournaments'
+coins, SBX's four arrays and mutation's three. PCG64 hands out doubles in
+sequence, so the block holds the same values as those eight arrays drawn
+one call each. Identical (problem, params, seed) triples reproduce runs bit
+for bit. Reproducibility is per seed and per draw order: drawing another
+array, or splitting the block in another order, changes the results of
+every seed.
 """
 
 from __future__ import annotations
@@ -81,7 +87,8 @@ class NsgaParams:
     ``mutation_prob`` gates mutation per individual; ``mutation_prob_per_var``
     is the per-variable rate inside a mutated individual and defaults to
     one over the number of variables when left as None. The seed is passed
-    to :func:`run`.
+    to :func:`run`. ``pop_size`` and ``generations`` must be Python or numpy
+    integers and the other fields real numbers; a bool is neither.
     """
 
     pop_size: int = 50
@@ -93,6 +100,17 @@ class NsgaParams:
     mutation_eta: float = 20.0
 
     def __post_init__(self):
+        for name in ("pop_size", "generations"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        reals = ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta"]
+        if self.mutation_prob_per_var is not None:
+            reals.append("mutation_prob_per_var")
+        for name in reals:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         if self.pop_size < 4 or self.pop_size % 2 != 0:
             raise ConfigError("pop_size must be even and >= 4")
         if self.generations < 0:
@@ -107,29 +125,31 @@ class NsgaParams:
             raise ConfigError("distribution indices must be positive")
 
 
-def nondominated_fronts(objs: np.ndarray, fill: int | None = None) -> list[np.ndarray]:
-    """Peel Pareto fronts from an (n, 2) objective array.
+def _sorted_groups(objs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of an (n, 2) objective array in (f1, f2, row) order.
 
-    Returns row index arrays, best front first, each in ascending row
-    order; equal points share a front. Every row is placed, or, given
-    ``fill``, only the fronts needed to hold at least ``fill`` rows.
-
-    The rows are sorted once in (f1, f2) order. Each pass then takes one
-    front: a row is in it when its f2 is below the smallest f2 of the rows
-    left before its group of equal points, and the other rows of a group
-    follow its first. The first row left is never dominated, so every pass
-    places a row, NaN rows included. O(n log n + n * fronts).
+    Returns the row order, both objectives in that order and, per sorted
+    position, the first sorted position of its group of equal points.
     """
-    objs = np.asarray(objs, dtype=float)
-    n = objs.shape[0]
-    fill = n if fill is None else min(fill, n)
     order = np.lexsort((objs[:, 1], objs[:, 0]))
     f1, f2 = objs[order, 0], objs[order, 1]
-    head = np.arange(n)  # the first sorted row of each row's group
+    head = np.arange(order.size)
     head[1:][(f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])] = 0
     np.maximum.accumulate(head, out=head)
-    verdict = np.empty(n, dtype=bool)
-    left = np.arange(n)  # sorted rows not yet placed
+    return order, f1, f2, head
+
+
+def _peel(f2: np.ndarray, head: np.ndarray, fill: int) -> list[np.ndarray]:
+    """Fronts as ascending sorted positions, best first, until ``fill`` rows
+    are placed; ``f2`` and ``head`` come from :func:`_sorted_groups`.
+
+    A row is in a pass's front when its f2 is below the smallest f2 of the
+    rows left before its group, and the other rows of a group follow its
+    first. The first row left is never dominated, so every pass places a
+    row, NaN rows included.
+    """
+    verdict = np.empty(f2.size, dtype=bool)
+    left = np.arange(f2.size)  # sorted positions not yet placed
     fronts, placed = [], 0
     while placed < fill:
         g2 = f2[left]
@@ -139,10 +159,26 @@ def nondominated_fronts(objs: np.ndarray, fill: int | None = None) -> list[np.nd
         np.less(g2[1:], np.fmin.accumulate(g2)[:-1], out=on[1:])
         verdict[left] = on
         on = verdict[head[left]]
-        fronts.append(np.sort(order[left[on]]))
+        fronts.append(left[on])
         placed += fronts[-1].size
         left = left[~on]
     return fronts
+
+
+def nondominated_fronts(objs: np.ndarray, fill: int | None = None) -> list[np.ndarray]:
+    """Peel Pareto fronts from an (n, 2) objective array.
+
+    Returns row index arrays, best front first, each in ascending row
+    order; equal points share a front. Every row is placed, or, given
+    ``fill``, only the fronts needed to hold at least ``fill`` rows.
+
+    The rows are sorted once in (f1, f2) order, then each pass takes one
+    front in a single vectorised sweep. O(n log n + n * fronts).
+    """
+    objs = np.asarray(objs, dtype=float)
+    n = objs.shape[0]
+    order, _, f2, head = _sorted_groups(objs)
+    return [np.sort(order[pos]) for pos in _peel(f2, head, n if fill is None else min(fill, n))]
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -152,6 +188,10 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     between their sorted neighbors per objective. An objective whose range
     is not finite and positive (all equal, or an infinite or NaN extreme)
     contributes nothing to them.
+
+    Survivor selection reads the same distances from its own sort and calls
+    this only when a merge holds a NaN objective; the tests use it as the
+    reference for that sort.
     """
     objs = np.asarray(objs, dtype=float)
     n = objs.shape[0]
@@ -171,18 +211,49 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def tournament_select(
-    rank: np.ndarray, crowding: np.ndarray, size: int, rng: np.random.Generator
+def _front_crowding(
+    a: np.ndarray, b: np.ndarray, pos: np.ndarray, mirror: np.ndarray, gaps: np.ndarray
 ) -> np.ndarray:
-    """``size`` binary tournaments under the crowded comparison operator.
+    """:func:`crowding_distance` of one NaN-free front, bit for bit, from its
+    sorted positions ``pos`` and its objectives ``a``, ``b`` in that order.
+
+    Along the front f1 ascends and f2 descends group by group, so the
+    sorted order is the f1 order, and the f2 gaps are the sorted order's
+    shifted differences with each group's first and last gap swapped: a
+    stable sort keeps a group in row order under both objectives. ``mirror``
+    maps each sorted position to its group's head + tail - position, and
+    ``gaps`` is a zeroed buffer over all sorted positions.
+    """
+    dist = np.zeros(a.size)
+    # Python floats: inf - inf is NaN here without a RuntimeWarning
+    spread = float(a[-1]) - float(a[0])
+    if 0.0 < spread < math.inf:
+        dist[1:-1] += (a[2:] - a[:-2]) / spread
+    spread = float(b[0]) - float(b[-1])
+    if 0.0 < spread < math.inf:
+        # a front's end positions are never written, so they read zero
+        gaps[pos[1:-1]] = (b[:-2] - b[2:]) / spread
+        dist += gaps[mirror[pos]]
+    # the f1 extremes, then the f2 extremes: the first row of the last
+    # group and the last row of the first group
+    dist[0] = dist[-1] = np.inf
+    dist[mirror[pos[-1]] - pos[-1] - 1] = dist[mirror[pos[0]] - pos[0]] = np.inf
+    return dist
+
+
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, contenders: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Binary tournaments under the crowded comparison operator between the
+    rows ``contenders[0]`` and ``contenders[1]``, a ``(2, size)`` index array.
 
     Lower rank wins; equal ranks fall back to larger crowding distance; a
-    full tie is settled by a coin flip. Returns the winning row indices.
+    full tie is settled by a coin flip, ``u < 0.5``, from ``size`` uniforms.
+    Returns the winning row indices.
     """
-    i, j = rng.integers(0, rank.size, size=(2, size))
-    coin = rng.random(size) < 0.5
+    i, j = contenders
     ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
-    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & coin)))
+    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & (u < 0.5))))
     return np.where(i_wins, i, j)
 
 
@@ -192,7 +263,7 @@ def sbx_crossover(
     lower: np.ndarray,
     upper: np.ndarray,
     params: NsgaParams,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover of the row pairs of two ``(pairs, n_vars)``
     arrays, with distribution index ``crossover_eta``.
@@ -203,13 +274,18 @@ def sbx_crossover(
     Deb's reference implementation (the swap is what lets good coordinates
     recombine across the pair). Children are mean-preserving before the
     final clip to the box; they are new arrays, never views of the parents.
+
+    ``u`` holds ``pairs * (1 + 3 * n_vars)`` uniforms in [0, 1): one per
+    pair for the crossing gate, then, per variable of each pair, one
+    ``(pairs, n_vars)`` block each for participation, the spread factor and
+    the child order.
     """
     pairs, n_vars = P1.shape
-    crossed = (rng.random(pairs) < params.crossover_prob)[:, None]
-    active = crossed & (rng.random((pairs, n_vars)) < 0.5) & (np.abs(P1 - P2) > _SBX_EPS)
-    u = rng.random((pairs, n_vars))
-    swap = rng.random((pairs, n_vars)) < 0.5
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    crossed = (u[:pairs] < params.crossover_prob)[:, None]
+    take, spread, swap = u[pairs:].reshape(3, pairs, n_vars)
+    active = crossed & (take < 0.5) & (np.abs(P1 - P2) > _SBX_EPS)
+    swap = swap < 0.5
+    beta = np.where(spread <= 0.5, 2.0 * spread, 1.0 / (2.0 * (1.0 - spread)))
     beta **= 1.0 / (params.crossover_eta + 1.0)
     plus = 1.0 + beta  # each weight formed once
     minus = np.subtract(1.0, beta, out=beta)
@@ -230,7 +306,7 @@ def polynomial_mutation(
     lower: np.ndarray,
     upper: np.ndarray,
     params: NsgaParams,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Polynomial mutation of the rows of ``X`` with distribution index
     ``mutation_eta``.
@@ -239,16 +315,20 @@ def polynomial_mutation(
     mutated row each variable mutates independently at the per-variable
     rate. The perturbation is a polynomial-distributed fraction of the
     variable's range, clipped back into the box. Returns a new array.
+
+    ``u`` holds ``k * (1 + 2 * n_vars)`` uniforms in [0, 1) for ``k`` rows:
+    one per row for its gate, then one ``(k, n_vars)`` block each for the
+    per-variable gate and the perturbation.
     """
     k, n_vars = X.shape
     rate = params.mutation_prob_per_var
     if rate is None:
         rate = 1.0 / n_vars
-    mutated = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
-    u = rng.random((k, n_vars))
+    gate, perturb = u[k:].reshape(2, k, n_vars)
+    mutated = (u[:k] < params.mutation_prob)[:, None] & (gate < rate)
     # (2u)^e - 1 below u = 0.5, else 1 - (2(1 - u))^e, with one power
-    low = u < 0.5
-    delta = np.where(low, u, 1.0 - u)
+    low = perturb < 0.5
+    delta = np.where(low, perturb, 1.0 - perturb)
     delta *= 2.0
     delta **= 1.0 / (params.mutation_eta + 1.0)
     delta = np.where(low, delta - 1.0, 1.0 - delta)
@@ -256,6 +336,30 @@ def polynomial_mutation(
     delta += X
     Y = np.where(mutated, delta, X)
     return Y.clip(lower, upper, out=Y)
+
+
+def _offspring(
+    X: np.ndarray,
+    rank: np.ndarray,
+    crowding: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    params: NsgaParams,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One generation's children of the population ``X`` in population
+    order: tournaments, SBX over the winners' pairs, then mutation, drawn as
+    the module docstring says.
+    """
+    pop, n_vars = X.shape
+    half = pop // 2
+    mid = pop + half * (1 + 3 * n_vars)
+    contenders = rng.integers(0, pop, size=(2, pop))
+    u = rng.random(mid + pop * (1 + 2 * n_vars))
+    # the first half of the winners pairs with the second
+    X_par = X[tournament_select(rank, crowding, contenders, u[:pop])]
+    C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, u[pop:mid])
+    return polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, u[mid:])
 
 
 def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -270,7 +374,8 @@ def _select_next(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elitist (mu + lambda) replacement: fill front by front, truncating the
     overflow front by descending crowding distance with index as tie-break.
-    Only the fronts that fill the population are peeled.
+    Only the fronts that fill the population are peeled, and crowding is
+    read from the peel's own sort unless an objective is NaN.
 
     Returns the surviving row indices of ``objs`` in their new population
     order, with the rank and crowding distance each got in this sort.
@@ -284,19 +389,37 @@ def _select_next(
     So once front 0 saturates it may lose interior points, while the best
     value of each objective never worsens.
     """
-    keep, rank, crowding = [], [], []
+    order, f1, f2, head = _sorted_groups(objs)
+    n = order.size
+    has_nan = math.isnan(objs.min())
+    if not has_nan:
+        # head + tail - position; head ascends, so a search finds tail + 1
+        mirror = head.searchsorted(head, "right")
+        mirror += head
+        mirror -= np.arange(1, n + 1)
+        gaps = np.zeros(n)
+    keep, crowding = [], []
     kept = 0
-    for r, front in enumerate(nondominated_fronts(objs, fill=pop_size)):
-        dist = crowding_distance(objs[front])
+    for pos in _peel(f2, head, min(pop_size, n)):
+        if has_nan:
+            rows = np.sort(order[pos])
+            dist = crowding_distance(objs[rows])
+        else:
+            rows = order[pos]
+            dist = _front_crowding(f1[pos], f2[pos], pos, mirror, gaps)
         room = pop_size - kept
-        if front.size > room:
-            order = np.lexsort((front, -dist))[:room]
-            front, dist = front[order], dist[order]
-        keep.append(front)
-        rank.append(np.full(front.size, r))
-        crowding.append(dist)
-        kept += front.size
-    return np.concatenate(keep), np.concatenate(rank), np.concatenate(crowding)
+        if rows.size > room:
+            # by descending crowding, then row: independent of rows' order
+            cut = np.lexsort((rows, -dist))[:room]
+        else:
+            cut = rows.argsort()
+        keep.append(rows[cut])
+        crowding.append(dist[cut])
+        kept += cut.size
+    if len(keep) == 1:
+        return keep[0], np.zeros(kept, dtype=int), crowding[0]
+    rank = np.repeat(np.arange(len(keep)), [rows.size for rows in keep])
+    return np.concatenate(keep), rank, np.concatenate(crowding)
 
 
 def run(
@@ -321,11 +444,7 @@ def run(
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):
         if gen > 0:
-            # the first half of the winners pairs with the second
-            X_par = X[tournament_select(rank, crowding, params.pop_size, rng)]
-            half = params.pop_size // 2
-            C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, rng)
-            offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
+            offspring = _offspring(X, rank, crowding, lower, upper, params, rng)
             X = np.concatenate([X, offspring])
             F = np.concatenate([F, _evaluate(problem, offspring)])
         keep, rank, crowding = _select_next(F, params.pop_size)

@@ -254,7 +254,10 @@ def fit_stage2(
 
     def evaluate(C: np.ndarray) -> np.ndarray:
         P = C[:, :1] + C[:, 1:] @ X.T
-        return np.column_stack([metrics.smape(y, P), -metrics.directional_symmetry(y, P)])
+        F = np.empty((C.shape[0], 2))
+        F[:, 0] = metrics.smape(y, P)
+        np.negative(metrics.directional_symmetry(y, P), out=F[:, 1])
+        return F
 
     bound = 0.5 - _BOUND_MARGIN
     problem = Problem(
@@ -443,9 +446,9 @@ def fit_stage3(
     def evaluate(V: np.ndarray) -> np.ndarray:
         reach1, reach2 = V[:, :1] * sigma, V[:, -1:] * sigma
         F = np.empty((V.shape[0], 2))
-        F[:, 0] = below.searchsorted(reach1[:, 0], "right") + on
-        F[:, 0] += above.searchsorted(reach2[:, 0], "right")
-        F[:, 0] /= -p.size  # -picp
+        covered = below.searchsorted(reach1[:, 0], "right")
+        covered += above.searchsorted(reach2[:, 0], "right") + on
+        np.divide(covered, -p.size, out=F[:, 0])  # -picp from an exact integer count
         F[:, 1] = metrics.piaw(p - reach1, p + reach2)
         return F
 

@@ -162,17 +162,18 @@ def brute_force_fronts(objs):
     return fronts
 
 
-def reference_select(objs, pop_size):
+def reference_select(objs, pop_size, fronts=None):
     """Survivor selection from fully peeled oracle fronts.
 
-    Every front comes from ``brute_force_fronts``, then the fronts fill the
-    population in order, and the front that overflows keeps its rows of
-    largest crowding distance (row index breaks ties). Returns ``(keep,
-    rank, crowding)`` in the same form as ``nsga2._select_next``.
+    Every front comes from ``brute_force_fronts`` unless ``fronts`` gives
+    them, then the fronts fill the population in order, and the front that
+    overflows keeps its rows of largest crowding distance (row index breaks
+    ties). Returns ``(keep, rank, crowding)`` in the same form as
+    ``nsga2._select_next``.
     """
     objs = np.asarray(objs, dtype=float)
     keep, rank, crowding = [], [], []
-    for r, front in enumerate(brute_force_fronts(objs)):
+    for r, front in enumerate(brute_force_fronts(objs) if fronts is None else fronts):
         room = pop_size - sum(k.size for k in keep)
         if room == 0:
             break
@@ -434,6 +435,20 @@ def reference_polynomial_mutation(X, lower, upper, params, rng):
         u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent
     )
     return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
+
+
+def reference_offspring(X, rank, crowding, lower, upper, params, rng):
+    """One generation's children as ``nsga2._offspring`` makes them, with
+    every array drawn by its own call, in the engine's order: contenders,
+    coins, then SBX's four arrays and mutation's three."""
+    pop = X.shape[0]
+    i, j = rng.integers(0, pop, size=(2, pop))
+    coin = rng.random(pop) < 0.5
+    ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+    X_par = X[np.where((ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & coin))), i, j)]
+    half = pop // 2
+    C1, C2 = reference_sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, rng)
+    return reference_polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
 
 
 def reference_smape(a, p):

@@ -24,6 +24,7 @@ from chaospi.nsga2 import (
 from helpers import (
     brute_force_fronts,
     elitism_violations,
+    reference_offspring,
     reference_polynomial_mutation,
     reference_sbx_crossover,
     reference_select,
@@ -96,6 +97,48 @@ def test_infinite_rows_sort_like_the_oracle():
     assert [sorted(f) for f in fronts_of(objs)] == brute_force_fronts(objs)
 
 
+def front_cut(objs, case, rng):
+    """A population size just before, on or just after a front boundary."""
+    ends = np.cumsum([len(f) for f in brute_force_fronts(objs)])
+    return int(np.clip(rng.choice(ends) + case % 3 - 1, 1, len(objs)))
+
+
+def selects_like_oracle(objs, pop_size):
+    """Whether ``_select_next`` equals the oracle's selection bit for bit.
+
+    A NaN row is incomparable to the brute force, which leaves it in front
+    0, while the peel places it by its sort; so a merge holding NaN takes
+    the peel's own full fronts, and only crowding and truncation are
+    checked against the oracle.
+    """
+    fronts = nondominated_fronts(objs) if np.isnan(objs).any() else None
+    got = _select_next(objs, pop_size)
+    want = reference_select(objs, pop_size, fronts)
+    return all(same_bits(g, w) for g, w in zip(got, want))
+
+
+# merges whose crowding the peel's own sort must read as crowding_distance does
+ORACLE_EDGES = {
+    "nan_f1": [(0, 1), (np.nan, 0.5), (1, 0), (0.5, 0.5), (0.2, 0.8), (np.nan, 0.1), (0.7, 0.7)],
+    "nan_f2": [(0, np.nan), (0.5, 0.5), (1, 0), (0.2, 0.8), (0.7, 0.3), (0.3, np.nan), (0.6, 0.6)],
+    "signed_zero_f2": [(0, 1), (0.5, 0.0), (0.5, -0.0), (0.5, 0.0), (1, -1), (0.2, 0.5), (0.9, -0.5),
+                       (0.7, -0.0), (0.7, 0.0)],
+    "signed_zero_f1": [(-0.0, 1), (0.0, 1), (0.5, 0.0), (1, -1), (0.0, 1), (0.2, 0.5)],
+    "one_and_two_row_fronts": [(0, 0), (1, 2), (2, 1), (3, 3), (4, 4), (5, 5), (4, 6)],
+    "duplicate_end_groups": [(0, 3), (0, 3), (1, 2), (2, 1), (3, 0), (3, 0), (1.5, 1.5), (4, 4)],
+    "duplicate_end_groups_of_three": [(3, 0), (0, 3), (0, 3), (1, 2), (0, 3), (3, 0), (3, 0),
+                                      (2, 1), (2, 1)],
+    "one_group": [(1, 1)] * 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_EDGES))
+def test_select_next_matches_oracle_on_edge_merges(name):
+    objs = np.array(ORACLE_EDGES[name], dtype=float)
+    for pop_size in range(1, len(objs) + 1):
+        assert selects_like_oracle(objs, pop_size), f"{name} at pop_size {pop_size}"
+
+
 def test_select_next_matches_full_sort_oracle():
     """Bit for bit against selection from fully peeled oracle fronts, with
     the population cut just before, on and just after a front boundary."""
@@ -106,12 +149,7 @@ def test_select_next_matches_full_sort_oracle():
             objs = rng.integers(0, 6, size=(n, 2)).astype(float)  # heavy ties
         else:
             objs = rng.uniform(0.0, 1.0, size=(n, 2))
-        ends = np.cumsum([len(f) for f in brute_force_fronts(objs)])
-        pop_size = int(np.clip(rng.choice(ends) + case % 3 - 1, 1, n))
-        got = _select_next(objs, pop_size)
-        want = reference_select(objs, pop_size)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), f"case {case} diverged"
+        assert selects_like_oracle(objs, front_cut(objs, case, rng)), f"case {case} diverged"
 
 
 def stage3_objectives(kind, n, rng):
@@ -122,10 +160,14 @@ def stage3_objectives(kind, n, rng):
         objs[n // 2 :] = objs[rng.permutation(n // 2)]
     elif kind == "infinite":  # a tenth of the rows, at least one
         objs[rng.choice(n, max(1, n // 10), replace=False), 0] = np.inf
+    elif kind == "nan":  # one objective of one row
+        objs[rng.integers(n), rng.integers(2)] = np.nan
     return objs
 
 
-@pytest.mark.parametrize("kind, seed", [("copies", 2207), ("levels", 2208), ("infinite", 2209)])
+@pytest.mark.parametrize(
+    "kind, seed", [("copies", 2207), ("levels", 2208), ("infinite", 2209), ("nan", 2210)]
+)
 def test_select_next_matches_oracle_on_stage3_shapes(kind, seed):
     """Bit for bit against the oracle on the objective shapes of stage 3,
     cut just before, on and just after a front boundary."""
@@ -133,11 +175,34 @@ def test_select_next_matches_oracle_on_stage3_shapes(kind, seed):
     for case in range(200):
         n = 2 * int(rng.integers(1, 31))
         objs = stage3_objectives(kind, n, rng)
-        ends = np.cumsum([len(f) for f in brute_force_fronts(objs)])
-        pop_size = int(np.clip(rng.choice(ends) + case % 3 - 1, 1, n))
-        got = _select_next(objs, pop_size)
-        want = reference_select(objs, pop_size)
-        assert all(same_bits(g, w) for g, w in zip(got, want)), f"{kind} case {case} diverged"
+        assert selects_like_oracle(objs, front_cut(objs, case, rng)), f"{kind} case {case} diverged"
+
+
+def mixed_merge(rng):
+    """A merge of up to 160 rows: uniform, rounded to 0.1 or with discrete
+    f1, a tenth of f1 infinite in half of them, half the rows copies in
+    half of them, and zeros of either sign."""
+    n = int(rng.integers(1, 161))
+    objs = rng.uniform(-1.0, 1.0, (n, 2))
+    shape = rng.integers(3)
+    if shape == 1:
+        objs = np.round(objs, 1)
+    elif shape == 2:
+        objs[:, 0] = rng.integers(0, 8, n) / 7.0
+    if rng.random() < 0.5:
+        objs[rng.choice(n, max(1, n // 10), replace=False), 0] = np.inf
+    if rng.random() < 0.5:
+        objs[n // 2 :] = objs[rng.integers(0, max(1, n // 2), n - n // 2)]
+    zero = objs == 0.0
+    objs[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return objs
+
+
+def test_select_next_matches_oracle_on_mixed_merges():
+    rng = np.random.default_rng(2511)
+    for case in range(240):
+        objs = mixed_merge(rng)
+        assert selects_like_oracle(objs, front_cut(objs, case, rng)), f"case {case} diverged"
 
 
 def test_crowding_known_case():
@@ -176,25 +241,39 @@ def test_crowding_skips_objectives_without_finite_spread(objs, interior):
     assert d[1:-1].tolist() == interior
 
 
+def tournaments(rank, crowding, size, rng):
+    """``size`` tournaments among all rows, drawn as the engine draws them."""
+    contenders = rng.integers(0, rank.size, size=(2, size))
+    return tournament_select(rank, crowding, contenders, rng.random(size))
+
+
 def test_tournament_prefers_rank_then_crowding():
     rng = np.random.default_rng(0)
     rank, crowding = np.array([0, 1]), np.zeros(2)
-    wins = tournament_select(rank, crowding, 400, rng).tolist()
+    wins = tournaments(rank, crowding, 400, rng).tolist()
     # the worse-ranked member can only come back when it is drawn twice,
     # which happens in a quarter of the tournaments
     assert 0 in wins and wins.count(1) < wins.count(0)
 
     rank, crowding = np.array([0, 0]), np.array([5.0, 1.0])
-    wins = tournament_select(rank, crowding, 400, rng).tolist()
+    wins = tournaments(rank, crowding, 400, rng).tolist()
     assert wins.count(0) > wins.count(1)
 
 
 def test_tournament_tie_breaks_by_fair_coin():
     rng = np.random.default_rng(42)
     rank, crowding = np.array([0, 0]), np.array([1.0, 1.0])
-    wins = tournament_select(rank, crowding, 4000, rng)
+    wins = tournaments(rank, crowding, 4000, rng)
     share = np.mean(wins == 0)
     assert 0.42 <= share <= 0.58
+
+
+def test_tournament_coin_is_the_uniform_below_one_half():
+    # a full tie in every tournament: row 0 meets row 1, so the coin decides
+    rank, crowding = np.zeros(2, dtype=int), np.ones(2)
+    contenders = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+    wins = tournament_select(rank, crowding, contenders, np.array([0.0, 0.4999, 0.5, 0.99]))
+    assert wins.tolist() == [0, 0, 1, 1]
 
 
 def params_for(n_vars, **kw):
@@ -203,18 +282,30 @@ def params_for(n_vars, **kw):
     return NsgaParams(**defaults)
 
 
+def sbx_uniforms(rng, pairs, n_vars):
+    """The uniforms ``sbx_crossover`` takes for ``pairs`` row pairs."""
+    return rng.random(pairs * (1 + 3 * n_vars))
+
+
+def mutation_uniforms(rng, k, n_vars):
+    """The uniforms ``polynomial_mutation`` takes for ``k`` rows."""
+    return rng.random(k * (1 + 2 * n_vars))
+
+
 def test_sbx_identical_parents_are_fixed_points():
     rng = np.random.default_rng(1)
     P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
-    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, params_for(3, crossover_prob=1.0), rng)
+    params = params_for(3, crossover_prob=1.0)
+    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, params, sbx_uniforms(rng, 50, 3))
     assert np.array_equal(C1, P) and np.array_equal(C2, P)
 
 
 def test_sbx_zero_probability_returns_copies():
     rng = np.random.default_rng(1)
     P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), params_for(1, crossover_prob=0.0), rng)
+    params = params_for(1, crossover_prob=0.0)
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), params, sbx_uniforms(rng, 5, 1))
     assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
     C1[0, 0] = 99.0
     assert P1[0, 0] == 0.2  # children are copies, not views
@@ -225,7 +316,8 @@ def test_sbx_preserves_pair_mean_inside_wide_box():
     P2 = np.full((200, 2), 0.7)
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
     rng = np.random.default_rng(0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, params_for(2, crossover_prob=1.0), rng)
+    params = params_for(2, crossover_prob=1.0)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 200, 2))
     assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
 
 
@@ -235,7 +327,8 @@ def test_sbx_offspring_order_is_randomized():
     P2 = np.full((100, 1), 0.7)
     lo, hi = np.zeros(1), np.ones(1)
     rng = np.random.default_rng(0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, params_for(1, crossover_prob=1.0), rng)
+    params = params_for(1, crossover_prob=1.0)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 100, 1))
     moved = C1[:, 0] != 0.3
     assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
@@ -246,7 +339,8 @@ def test_sbx_respects_bounds(seed):
     rng = np.random.default_rng(seed)
     P1 = np.tile([0.01, 0.99, 0.5], (8, 1))
     P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), params_for(3, crossover_prob=1.0), rng)
+    params = params_for(3, crossover_prob=1.0)
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), params, sbx_uniforms(rng, 8, 3))
     for C in (C1, C2):
         assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
@@ -254,7 +348,8 @@ def test_sbx_respects_bounds(seed):
 def test_mutation_zero_rate_is_identity():
     rng = np.random.default_rng(0)
     X = np.full((6, 2), 0.5)
-    Y = polynomial_mutation(X, np.zeros(2), np.ones(2), params_for(2, mutation_prob_per_var=0.0), rng)
+    params = params_for(2, mutation_prob_per_var=0.0)
+    Y = polynomial_mutation(X, np.zeros(2), np.ones(2), params, mutation_uniforms(rng, 6, 2))
     assert np.array_equal(Y, X)
     Y[0, 0] = 9.0
     assert X[0, 0] == 0.5
@@ -265,7 +360,8 @@ def test_mutation_zero_rate_is_identity():
 def test_mutation_respects_bounds(seed):
     rng = np.random.default_rng(seed)
     X = np.tile([0.0, 1.0, 0.5], (8, 1))
-    Y = polynomial_mutation(X, np.zeros(3), np.ones(3), params_for(3, mutation_prob_per_var=1.0), rng)
+    params = params_for(3, mutation_prob_per_var=1.0)
+    Y = polynomial_mutation(X, np.zeros(3), np.ones(3), params, mutation_uniforms(rng, 8, 3))
     assert np.all(Y >= 0.0) and np.all(Y <= 1.0)
 
 
@@ -276,7 +372,8 @@ def test_mutation_spread_shrinks_with_eta():
     def mean_move(eta):
         rng = np.random.default_rng(0)
         params = params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta)
-        return np.mean(np.abs(polynomial_mutation(X, lo, hi, params, rng) - 0.5))
+        Y = polynomial_mutation(X, lo, hi, params, mutation_uniforms(rng, 500, 1))
+        return np.mean(np.abs(Y - 0.5))
 
     assert mean_move(5.0) > mean_move(50.0)
 
@@ -306,7 +403,7 @@ def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
         P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
         P2[:4] = P1[:4]  # equal parents
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx_crossover(P1, P2, lo, hi, params, rng)
+        got = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 12, 3))
         want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
@@ -321,9 +418,31 @@ def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
     for seed in range(10):
         X = edge_cells(seed, (24, 3))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = polynomial_mutation(X, lo, hi, params, rng)
+        got = polynomial_mutation(X, lo, hi, params, mutation_uniforms(rng, 24, 3))
         assert same_bits(got, reference_polynomial_mutation(X, lo, hi, params, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_vars, rate", [(1, None), (3, 0.5), (8, None)])
+def test_offspring_from_one_block_equal_separate_draws(n_vars, rate):
+    """Generations drawn as one block of uniforms match the same arrays
+    drawn one call each, bit for bit, and leave the generator in the same
+    state, so the engine's PCG64 stream is unchanged."""
+    params = params_for(n_vars, crossover_prob=0.75, mutation_prob=0.8,
+                        mutation_prob_per_var=rate)
+    lo, hi = np.full(n_vars, -1.0), np.full(n_vars, 2.0)
+    setup = np.random.default_rng(n_vars)
+    X = setup.uniform(lo, hi, size=(params.pop_size, n_vars))
+    X[1::4] = X[::4]  # equal parents
+    rank = setup.integers(0, 3, params.pop_size)
+    crowding = setup.choice([0.5, 1.0, np.inf], params.pop_size)  # ties
+    rng = np.random.Generator(np.random.PCG64(2024))
+    ref_rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(5):
+        got = nsga2._offspring(X, rank, crowding, lo, hi, params, rng)
+        assert same_bits(got, reference_offspring(X, rank, crowding, lo, hi, params, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        X = got
 
 
 def test_params_validation():
@@ -340,6 +459,41 @@ def test_params_validation():
     for name in ("crossover_eta", "mutation_eta"):
         with pytest.raises(ConfigError, match="distribution indices"):
             NsgaParams(**{name: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pop_size", 50.0),
+        ("pop_size", np.float64(50.0)),
+        ("pop_size", True),
+        ("pop_size", "50"),
+        ("generations", 2.5),
+        ("generations", True),
+        ("generations", np.bool_(True)),
+        ("generations", None),
+        ("crossover_prob", None),
+        ("crossover_prob", True),
+        ("crossover_eta", "15"),
+        ("mutation_prob", None),
+        ("mutation_prob", False),
+        ("mutation_prob_per_var", True),
+        ("mutation_prob_per_var", "0.5"),
+        ("mutation_eta", None),
+        ("mutation_eta", np.bool_(True)),
+    ],
+)
+def test_params_reject_values_the_engine_cannot_run(field, value):
+    # these used to pass, then fail inside run, or raise TypeError here
+    with pytest.raises(ConfigError, match=field):
+        NsgaParams(**{field: value})
+
+
+def test_params_take_numpy_numbers():
+    params = NsgaParams(pop_size=np.int64(8), generations=np.int32(2), crossover_prob=np.float32(0.5),
+                        crossover_eta=10, mutation_prob=1, mutation_prob_per_var=np.float64(0.5))
+    front = run(two_bowl_problem(), params, seed=3)
+    assert front
 
 
 def test_problem_validation():
