@@ -38,6 +38,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -50,7 +51,7 @@ import numpy as np
 from . import eaf as eaf_mod
 from . import pipeline
 from .chaos import AnalyzeOptions, ChaosReport, analyze
-from .errors import ChaospiError, ConfigError, EmptyFrontError
+from .errors import ChaospiError, ConfigError, EmptyFrontError, is_number
 from .nsga2 import NsgaParams
 from .pipeline import PipelineConfig
 from .series import TimeSeries, load_series
@@ -201,7 +202,7 @@ def _typed(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
     if value is None and nullable:
         return None
     if kind in (int, float):
-        ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+        ok = is_number(value, numbers.Integral if kind is int else numbers.Real)
     else:
         ok = isinstance(value, kind)
     if not ok:

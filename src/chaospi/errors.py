@@ -2,10 +2,19 @@
 
 Every domain error raised by this package derives from :class:`ChaospiError`
 so callers (and the CLI) can distinguish domain failures from genuine I/O or
-programming errors.
+programming errors. :func:`is_number` is the one type rule that config
+checks apply before they raise :class:`ConfigError`.
 """
 
 from __future__ import annotations
+
+import numbers
+
+
+def is_number(value: object, kind: type = numbers.Real) -> bool:
+    """Whether ``value`` is an instance of ``kind``, ``numbers.Integral`` or
+    ``numbers.Real`` (numpy scalars included); a bool is neither."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class ChaospiError(Exception):

@@ -38,12 +38,13 @@ every seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, is_number
 
 # SBX treats parent coordinates closer than this as identical, which keeps
 # crossover an exact fixed point for duplicate parents.
@@ -87,8 +88,9 @@ class NsgaParams:
     ``mutation_prob`` gates mutation per individual; ``mutation_prob_per_var``
     is the per-variable rate inside a mutated individual and defaults to
     one over the number of variables when left as None. The seed is passed
-    to :func:`run`. ``pop_size`` and ``generations`` must be Python or numpy
-    integers and the other fields real numbers; a bool is neither.
+    to :func:`run`. ``pop_size`` and ``generations`` must be integers and the
+    other fields real numbers (``numbers.Integral``, ``numbers.Real``); a
+    bool is neither.
     """
 
     pop_size: int = 50
@@ -102,14 +104,14 @@ class NsgaParams:
     def __post_init__(self):
         for name in ("pop_size", "generations"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not is_number(v, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         reals = ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta"]
         if self.mutation_prob_per_var is not None:
             reals.append("mutation_prob_per_var")
         for name in reals:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            if not is_number(v):
                 raise ConfigError(f"{name} must be a real number, got {v!r}")
         if self.pop_size < 4 or self.pop_size % 2 != 0:
             raise ConfigError("pop_size must be even and >= 4")
@@ -189,9 +191,8 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     is not finite and positive (all equal, or an infinite or NaN extreme)
     contributes nothing to them.
 
-    Survivor selection reads the same distances from its own sort and calls
-    this only when a merge holds a NaN objective; the tests use it as the
-    reference for that sort.
+    Survivor selection reads the same distances from its own sort; the
+    tests use this function as the reference for that sort.
     """
     objs = np.asarray(objs, dtype=float)
     n = objs.shape[0]
@@ -214,8 +215,8 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
 def _front_crowding(
     a: np.ndarray, b: np.ndarray, pos: np.ndarray, mirror: np.ndarray, gaps: np.ndarray
 ) -> np.ndarray:
-    """:func:`crowding_distance` of one NaN-free front, bit for bit, from its
-    sorted positions ``pos`` and its objectives ``a``, ``b`` in that order.
+    """:func:`crowding_distance` of one front, bit for bit, from its sorted
+    positions ``pos`` and its objectives ``a``, ``b`` in that order.
 
     Along the front f1 ascends and f2 descends group by group, so the
     sorted order is the f1 order, and the f2 gaps are the sorted order's
@@ -223,6 +224,11 @@ def _front_crowding(
     stable sort keeps a group in row order under both objectives. ``mirror``
     maps each sorted position to its group's head + tail - position, and
     ``gaps`` is a zeroed buffer over all sorted positions.
+
+    A NaN row is always an end of its front, alone in its group, and makes
+    that objective's spread NaN: a NaN f2 never beats an earlier f2 in the
+    peel, so it is only ever a front's first row, and the sort puts NaN f1
+    last, where a row with finite f2 is the front's last and lowest in f2.
     """
     dist = np.zeros(a.size)
     # Python floats: inf - inf is NaN here without a RuntimeWarning
@@ -375,7 +381,7 @@ def _select_next(
     """Elitist (mu + lambda) replacement: fill front by front, truncating the
     overflow front by descending crowding distance with index as tie-break.
     Only the fronts that fill the population are peeled, and crowding is
-    read from the peel's own sort unless an objective is NaN.
+    read from the peel's own sort.
 
     Returns the surviving row indices of ``objs`` in their new population
     order, with the rank and crowding distance each got in this sort.
@@ -391,22 +397,16 @@ def _select_next(
     """
     order, f1, f2, head = _sorted_groups(objs)
     n = order.size
-    has_nan = math.isnan(objs.min())
-    if not has_nan:
-        # head + tail - position; head ascends, so a search finds tail + 1
-        mirror = head.searchsorted(head, "right")
-        mirror += head
-        mirror -= np.arange(1, n + 1)
-        gaps = np.zeros(n)
+    # head + tail - position; head ascends, so a search finds tail + 1
+    mirror = head.searchsorted(head, "right")
+    mirror += head
+    mirror -= np.arange(1, n + 1)
+    gaps = np.zeros(n)
     keep, crowding = [], []
     kept = 0
     for pos in _peel(f2, head, min(pop_size, n)):
-        if has_nan:
-            rows = np.sort(order[pos])
-            dist = crowding_distance(objs[rows])
-        else:
-            rows = order[pos]
-            dist = _front_crowding(f1[pos], f2[pos], pos, mirror, gaps)
+        rows = order[pos]
+        dist = _front_crowding(f1[pos], f2[pos], pos, mirror, gaps)
         room = pop_size - kept
         if rows.size > room:
             # by descending crowding, then row: independent of rows' order
@@ -416,8 +416,6 @@ def _select_next(
         keep.append(rows[cut])
         crowding.append(dist[cut])
         kept += cut.size
-    if len(keep) == 1:
-        return keep[0], np.zeros(kept, dtype=int), crowding[0]
     rank = np.repeat(np.arange(len(keep)), [rows.size for rows in keep])
     return np.concatenate(keep), rank, np.concatenate(crowding)
 

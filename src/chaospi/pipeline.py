@@ -27,6 +27,7 @@ three-stage runs with the same seed share an identical stage-2 model.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from collections import Counter
@@ -45,6 +46,7 @@ from .errors import (
     InvalidSplitError,
     SeriesTooShortError,
     ZeroVarianceError,
+    is_number,
 )
 from .nsga2 import NsgaParams, Problem, run as nsga_run
 from .series import TimeSeries
@@ -484,8 +486,8 @@ def select_interval_params(
 
 
 def _run_seed(seed) -> int:
-    """``seed`` as an int; it must be a non-negative Python or numpy integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    """``seed`` as an int; it must be a non-negative integer, not a bool."""
+    if not is_number(seed, numbers.Integral):
         raise ConfigError(f"run seeds must be integers, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"run seeds must be non-negative, got {seed}")
@@ -611,7 +613,7 @@ def run_experiment(
     depend on ``workers``. A failing seed is recorded and skipped; aggregates
     cover the successful runs. A worker that dies raises ``WorkerExitError``.
     """
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_number(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     seeds = [_run_seed(s) for s in seeds]
     if not seeds:

@@ -2,6 +2,7 @@
 and the run loop's determinism and selection invariants."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,24 @@ def test_select_next_matches_oracle_on_mixed_merges():
     rng = np.random.default_rng(2511)
     for case in range(240):
         objs = mixed_merge(rng)
+        assert selects_like_oracle(objs, front_cut(objs, case, rng)), f"case {case} diverged"
+
+
+def test_nan_rows_are_ends_of_their_fronts():
+    """Selection reads a NaN row's crowding as a front end's, so every NaN
+    row the peel places must be alone in its group, with a NaN f2 only
+    first in its front and a NaN f1 only first or last."""
+    rng = np.random.default_rng(2512)
+    for case in range(300):
+        objs = mixed_merge(rng)
+        objs[rng.random(objs.shape) < 0.15] = np.nan
+        order, f1, f2, head = nsga2._sorted_groups(objs)
+        tail = head.searchsorted(head, "right") - 1
+        for pos in nsga2._peel(f2, head, objs.shape[0]):
+            nan_f1, nan_f2 = np.flatnonzero(np.isnan(f1[pos])), np.flatnonzero(np.isnan(f2[pos]))
+            assert set(nan_f2) <= {0} and set(nan_f1) <= {0, pos.size - 1}, f"case {case}"
+            alone = pos[np.union1d(nan_f1, nan_f2)]
+            assert np.array_equal(head[alone], alone) and np.array_equal(tail[alone], alone)
         assert selects_like_oracle(objs, front_cut(objs, case, rng)), f"case {case} diverged"
 
 
@@ -489,9 +508,10 @@ def test_params_reject_values_the_engine_cannot_run(field, value):
         NsgaParams(**{field: value})
 
 
-def test_params_take_numpy_numbers():
+def test_params_take_any_integral_or_real_number():
     params = NsgaParams(pop_size=np.int64(8), generations=np.int32(2), crossover_prob=np.float32(0.5),
-                        crossover_eta=10, mutation_prob=1, mutation_prob_per_var=np.float64(0.5))
+                        crossover_eta=10, mutation_prob=1, mutation_prob_per_var=np.float64(0.5),
+                        mutation_eta=Fraction(20))
     front = run(two_bowl_problem(), params, seed=3)
     assert front
 
