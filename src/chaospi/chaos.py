@@ -159,32 +159,6 @@ class EmbeddingParams:
 
 
 @dataclass
-class EmbeddedDataset:
-    """Lagged regression view of a series.
-
-    Row ``t`` predicts the value at ``origin_indices[t]`` from the ``m``
-    lagged inputs ``(y[o - tau], y[o - 2*tau], ..., y[o - m*tau])``.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    origin_indices: np.ndarray
-    params: EmbeddingParams
-
-    def __post_init__(self):
-        if self.inputs.ndim != 2 or self.inputs.shape[1] != self.params.m:
-            raise ConfigError("inputs must be (rows, m)")
-        if self.targets.shape != (self.inputs.shape[0],):
-            raise ConfigError("targets must align with input rows")
-        if self.origin_indices.shape != self.targets.shape:
-            raise ConfigError("origin indices must align with targets")
-
-    @property
-    def rows(self) -> int:
-        return int(self.targets.size)
-
-
-@dataclass
 class LyapunovEstimate:
     """Largest Lyapunov exponent in nats per time step plus its fit context.
 
@@ -278,29 +252,21 @@ def select_delay(acf: np.ndarray) -> int:
     return 1
 
 
-def reconstruct(series: TimeSeries, params: EmbeddingParams) -> EmbeddedDataset:
-    """Build the lagged input/target matrices for one-step-ahead prediction.
+def reconstruct(series: TimeSeries, params: EmbeddingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Lagged inputs and targets for one-step-ahead prediction.
 
-    For a series of length n the dataset has ``n - m*tau`` rows; targets are
-    the observations at indices ``m*tau .. n-1``.
+    A series x of length n gives ``n - m*tau`` rows, both arrays
+    C-contiguous: row t's target is ``x[m*tau + t]`` and its inputs are the
+    m values before it at lags ``tau, 2*tau, ..., m*tau``, closest first.
     """
     x = series.values
-    n = x.size
     tau, m = params.tau, params.m
-    rows = n - m * tau
-    if rows < 1:
+    if x.size <= m * tau:
         raise SeriesTooShortError(
-            f"need more than m*tau = {m * tau} observations, got {n}"
+            f"need more than m*tau = {m * tau} observations, got {x.size}"
         )
-    origin = np.arange(m * tau, n)
-    lags = tau * np.arange(1, m + 1)
-    inputs = x[origin[:, None] - lags[None, :]]
-    return EmbeddedDataset(
-        inputs=inputs,
-        targets=x[origin].copy(),
-        origin_indices=origin,
-        params=params,
-    )
+    vecs = _delay_matrix(x, tau, m + 1)
+    return np.ascontiguousarray(vecs[:, -2::-1]), vecs[:, -1].copy()
 
 
 def _delay_matrix(x: np.ndarray, tau: int, m: int) -> np.ndarray:

@@ -183,40 +183,18 @@ def nondominated_fronts(objs: np.ndarray, fill: int | None = None) -> list[np.nd
     return [np.sort(order[pos]) for pos in _peel(f2, head, n if fill is None else min(fill, n))]
 
 
-def crowding_distance(objs: np.ndarray) -> np.ndarray:
-    """Crowding distances for one front given as an (n, 2) objective array.
-
-    Boundary points get infinity; interior points sum normalized gaps
-    between their sorted neighbors per objective. An objective whose range
-    is not finite and positive (all equal, or an infinite or NaN extreme)
-    contributes nothing to them.
-
-    Survivor selection reads the same distances from its own sort; the
-    tests use this function as the reference for that sort.
-    """
-    objs = np.asarray(objs, dtype=float)
-    n = objs.shape[0]
-    dist = np.zeros(n)
-    if n <= 2:
-        dist[:] = np.inf
-        return dist
-    for j in range(objs.shape[1]):
-        order = np.argsort(objs[:, j], kind="stable")
-        # Python floats: inf - inf is NaN here without a RuntimeWarning
-        spread = float(objs[order[-1], j]) - float(objs[order[0], j])
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if 0.0 < spread < math.inf:
-            gaps = (objs[order[2:], j] - objs[order[:-2], j]) / spread
-            dist[order[1:-1]] += gaps
-    return dist
-
-
 def _front_crowding(
     a: np.ndarray, b: np.ndarray, pos: np.ndarray, mirror: np.ndarray, gaps: np.ndarray
 ) -> np.ndarray:
-    """:func:`crowding_distance` of one front, bit for bit, from its sorted
-    positions ``pos`` and its objectives ``a``, ``b`` in that order.
+    """Crowding distances of one front from its sorted positions ``pos`` and
+    its objectives ``a``, ``b`` in that order.
+
+    The two end rows of each objective get +inf; every other row sums, per
+    objective, the gap between its two neighbours in that objective's order
+    over the objective's spread, and an objective whose spread is zero or
+    not finite adds nothing. ``tests/helpers.crowding_distance`` computes
+    the same distances with one sort per objective, the reference this
+    function matches bit for bit.
 
     Along the front f1 ascends and f2 descends group by group, so the
     sorted order is the f1 order, and the f2 gaps are the sorted order's

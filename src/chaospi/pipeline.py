@@ -536,23 +536,22 @@ def _run_seeded(
         mu, scale = 0.0, 1.0
         fit_values = x
 
-    data = reconstruct(TimeSeries(fit_values), emb_params)
-    n_train = data.rows - k
+    inputs, targets = reconstruct(TimeSeries(fit_values), emb_params)
+    n_train = targets.size - k
+    # not left to fit_stage2: a count below 1 would slice rows from the end
     if n_train < emb_params.m + 2:
         raise SeriesTooShortError(
             f"{n_train} training rows after embedding; need at least {emb_params.m + 2}"
         )
 
     s2_seed, s3_seed = _stage_seeds(seed)
-    X2, F2 = fit_stage2(
-        data.inputs[:n_train], data.targets[:n_train], emb_params, config.stage2, s2_seed
-    )
+    X2, F2 = fit_stage2(inputs[:n_train], targets[:n_train], emb_params, config.stage2, s2_seed)
     model = ArModel(X2[select_point_model(F2, config.point_policy)], emb_params)
 
-    pred_all = ar_predict(model, data.inputs)
+    pred_all = ar_predict(model, inputs)
     if config.standardize:
         pred_all = mu + scale * pred_all
-    actual_all = x[data.origin_indices]
+    actual_all = x[emb_params.m * emb_params.tau :]
     pred_tr, pred_te = pred_all[:n_train], pred_all[n_train:]
     act_tr, act_te = actual_all[:n_train], actual_all[n_train:]
     sigma = float(np.std(pred_tr))

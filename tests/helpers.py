@@ -16,7 +16,6 @@ from chaospi.errors import (
     ParseError,
     SeriesTooShortError,
 )
-from chaospi.nsga2 import crowding_distance
 from chaospi.series import TimeSeries
 
 
@@ -160,6 +159,33 @@ def brute_force_fronts(objs):
         fronts.append(sorted(front))
         remaining -= set(front)
     return fronts
+
+
+def crowding_distance(objs):
+    """Crowding distances for one front given as an (n, 2) objective array;
+    the reference for ``nsga2._front_crowding``.
+
+    Boundary points get infinity; interior points sum normalized gaps
+    between their sorted neighbors per objective. An objective whose range
+    is not finite and positive (all equal, or an infinite or NaN extreme)
+    contributes nothing to them.
+    """
+    objs = np.asarray(objs, dtype=float)
+    n = objs.shape[0]
+    dist = np.zeros(n)
+    if n <= 2:
+        dist[:] = np.inf
+        return dist
+    for j in range(objs.shape[1]):
+        order = np.argsort(objs[:, j], kind="stable")
+        # Python floats: inf - inf is NaN here without a RuntimeWarning
+        spread = float(objs[order[-1], j]) - float(objs[order[0], j])
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if 0.0 < spread < math.inf:
+            gaps = (objs[order[2:], j] - objs[order[:-2], j]) / spread
+            dist[order[1:-1]] += gaps
+    return dist
 
 
 def reference_select(objs, pop_size, fronts=None):

@@ -84,19 +84,37 @@ class TestSelectDelay:
 class TestReconstruct:
     def test_known_layout(self):
         s = TimeSeries(values=np.arange(1.0, 11.0))
-        ds = reconstruct(s, EmbeddingParams(tau=2, m=3))
-        assert ds.rows == 4
-        assert np.array_equal(ds.origin_indices, [6, 7, 8, 9])
-        assert np.array_equal(ds.targets, [7.0, 8.0, 9.0, 10.0])
+        inputs, targets = reconstruct(s, EmbeddingParams(tau=2, m=3))
+        # four rows, the targets at positions 6..9
+        assert np.array_equal(targets, [7.0, 8.0, 9.0, 10.0])
         # inputs are the lagged values closest-first
-        assert np.array_equal(ds.inputs[0], [5.0, 3.0, 1.0])
-        assert np.array_equal(ds.inputs[-1], [8.0, 6.0, 4.0])
+        assert np.array_equal(inputs[0], [5.0, 3.0, 1.0])
+        assert np.array_equal(inputs[-1], [8.0, 6.0, 4.0])
 
     def test_minimal_embedding(self):
         s = TimeSeries(values=np.array([1.0, 2.0, 3.0]))
-        ds = reconstruct(s, EmbeddingParams(tau=1, m=1))
-        assert np.array_equal(ds.inputs[:, 0], [1.0, 2.0])
-        assert np.array_equal(ds.targets, [2.0, 3.0])
+        inputs, targets = reconstruct(s, EmbeddingParams(tau=1, m=1))
+        assert np.array_equal(inputs[:, 0], [1.0, 2.0])
+        assert np.array_equal(targets, [2.0, 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 60), tau=st.integers(1, 8), m=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_rows_are_lagged_values(self, n, tau, m, seed):
+        x = np.random.default_rng(seed).normal(size=n)
+        series, params = TimeSeries(values=x), EmbeddingParams(tau=tau, m=m)
+        if n <= m * tau:
+            message = f"need more than m\\*tau = {m * tau} observations, got {n}"
+            with pytest.raises(SeriesTooShortError, match=message):
+                reconstruct(series, params)
+            return
+        inputs, targets = reconstruct(series, params)
+        rows = n - m * tau
+        assert inputs.shape == (rows, m) and targets.shape == (rows,)
+        assert inputs.flags.c_contiguous and targets.flags.c_contiguous
+        for t in range(rows):
+            assert targets[t] == x[m * tau + t]
+            for j in range(m):
+                assert inputs[t, j] == x[m * tau + t - (j + 1) * tau]
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):

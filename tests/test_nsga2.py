@@ -15,7 +15,6 @@ from chaospi.nsga2 import (
     NsgaParams,
     Problem,
     _select_next,
-    crowding_distance,
     nondominated_fronts,
     polynomial_mutation,
     run,
@@ -24,6 +23,7 @@ from chaospi.nsga2 import (
 )
 from helpers import (
     brute_force_fronts,
+    crowding_distance,
     elitism_violations,
     reference_offspring,
     reference_polynomial_mutation,

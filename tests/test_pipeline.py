@@ -230,22 +230,20 @@ class TestGridSearch:
 
 class TestStage2:
     def setup_method(self):
-        series = TimeSeries(values=ar2_values(n=80, seed=9))
-        self.data = reconstruct(series, EmbeddingParams(tau=1, m=2))
+        self.emb = EmbeddingParams(tau=1, m=2)
+        self.inputs, self.targets = reconstruct(TimeSeries(values=ar2_values(n=80, seed=9)), self.emb)
 
     def test_front_objectives_match_recomputation(self):
-        X, F = fit_stage2(self.data.inputs, self.data.targets,
-                          self.data.params, SMALL_STAGE2, 4)
+        X, F = fit_stage2(self.inputs, self.targets, self.emb, SMALL_STAGE2, 4)
         assert len(F) and X.shape == (len(F), 3)
         for x, f in zip(X, F):
-            pred = ar_predict(ArModel(x, self.data.params), self.data.inputs)
-            assert f[0] == pytest.approx(smape(self.data.targets, pred), abs=1e-12)
-            assert -f[1] == pytest.approx(directional_symmetry(self.data.targets, pred), abs=1e-12)
+            pred = ar_predict(ArModel(x, self.emb), self.inputs)
+            assert f[0] == pytest.approx(smape(self.targets, pred), abs=1e-12)
+            assert -f[1] == pytest.approx(directional_symmetry(self.targets, pred), abs=1e-12)
             assert np.all(np.abs(x) < 0.5)
 
     def test_front_is_mutually_nondominated(self):
-        _, F = fit_stage2(self.data.inputs, self.data.targets,
-                          self.data.params, SMALL_STAGE2, 4)
+        _, F = fit_stage2(self.inputs, self.targets, self.emb, SMALL_STAGE2, 4)
         objs = [tuple(f) for f in F]
         for a in objs:
             assert not any(
@@ -254,13 +252,11 @@ class TestStage2:
 
     def test_too_few_rows(self):
         with pytest.raises(SeriesTooShortError):
-            fit_stage2(self.data.inputs[:3], self.data.targets[:3],
-                       self.data.params, SMALL_STAGE2, 0)
+            fit_stage2(self.inputs[:3], self.targets[:3], self.emb, SMALL_STAGE2, 0)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
-            fit_stage2(self.data.inputs[:, :1], self.data.targets,
-                       self.data.params, SMALL_STAGE2, 0)
+            fit_stage2(self.inputs[:, :1], self.targets, self.emb, SMALL_STAGE2, 0)
 
 
 def captured_problem(monkeypatch, fit, *args):
@@ -272,9 +268,9 @@ def captured_problem(monkeypatch, fit, *args):
 
 
 def test_batched_stage2_objective_matches_per_vector_values(monkeypatch):
-    data = reconstruct(TimeSeries(values=ar2_values(n=80, seed=9)), EmbeddingParams(tau=1, m=2))
-    X, y = data.inputs, data.targets
-    problem = captured_problem(monkeypatch, fit_stage2, X, y, data.params, SMALL_STAGE2, 0)
+    emb = EmbeddingParams(tau=1, m=2)
+    X, y = reconstruct(TimeSeries(values=ar2_values(n=80, seed=9)), emb)
+    problem = captured_problem(monkeypatch, fit_stage2, X, y, emb, SMALL_STAGE2, 0)
     C = np.random.default_rng(3).uniform(problem.lower, problem.upper, size=(40, 3))
     got = problem.evaluate(C)
     assert got.shape == (40, 2)
@@ -517,8 +513,9 @@ PINNED_STAGE2_F = [
 
 
 def test_stage2_reproduces_pinned_front():
-    data = reconstruct(TimeSeries(values=ar2_values(80, 9)), EmbeddingParams(tau=1, m=2))
-    X, F = fit_stage2(data.inputs, data.targets, data.params, NsgaParams(12, 20), 11)
+    emb = EmbeddingParams(tau=1, m=2)
+    inputs, targets = reconstruct(TimeSeries(values=ar2_values(80, 9)), emb)
+    X, F = fit_stage2(inputs, targets, emb, NsgaParams(12, 20), 11)
     assert X.tolist() == PINNED_STAGE2_X
     assert F.tolist() == PINNED_STAGE2_F
 
@@ -607,7 +604,7 @@ class TestSeededRuns:
         assert result.train.piaw == pytest.approx(
             (result.interval.r1 + result.interval.r2) * result.interval.sigma, abs=1e-12
         )
-        inputs = reconstruct(self.series, result.point_model.params).inputs
+        inputs, _ = reconstruct(self.series, result.point_model.params)
         pred = ar_predict(result.point_model, inputs)
         assert result.interval.sigma == pytest.approx(float(np.std(pred[: len(result.train.point)])), abs=1e-12)
         assert result.train_smape == pytest.approx(
