@@ -5,10 +5,10 @@ Subcommands and the outputs each writes into its ``--out`` directory:
 * ``analyze`` -- chaos diagnostics only: ``chaos.json``, ``divergence.csv``
   (unless divergence tracking failed) and ``cao.csv`` (unless the dimension
   was forced).
-* ``intervals`` -- one seeded model run: the ``analyze`` files plus
-  ``report.json`` and ``intervals.csv`` (test rows).
-* ``experiment`` -- the same model across many seeds: the ``analyze`` files
-  plus ``report.json``, ``failures.json`` (when a seed failed), per-seed
+* ``intervals`` -- one seeded model run: the ``analyze`` files of the
+  training segment plus ``report.json`` and ``intervals.csv`` (test rows).
+* ``experiment`` -- the same model across many seeds: the same ``analyze``
+  files plus ``report.json``, ``failures.json`` (when a seed failed), per-seed
   fronts under ``fronts/seed_<s>.csv`` and best/median/worst attainment
   surfaces as ``eaf_{best,median,worst}.csv`` (when a seed succeeded).
 * ``eaf`` -- attainment surfaces recomputed from previously saved front

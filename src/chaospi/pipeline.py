@@ -3,8 +3,9 @@
 Two model families share the same first two steps:
 
 1. Embed the series (delay ``tau``, dimension ``m``, chosen by the chaos
-   diagnostics or forced through ``config.chaos``) into lagged input/target
-   rows and hold out the last ``test_horizon`` targets.
+   diagnostics of the training segment or forced through ``config.chaos``)
+   into lagged input/target rows and hold out the last ``test_horizon``
+   targets.
 2. Fit a linear autoregression ``y = a0 + a1*y[t-tau] + ... + am*y[t-m*tau]``
    with NSGA-II, minimizing SMAPE and maximizing directional symmetry over
    the training rows; coefficients live in (-0.5, 0.5).
@@ -519,22 +520,15 @@ def _run_seeded(
     seed: int,
 ) -> RunResult:
     """One seeded run after the (shared) chaos analysis."""
-    x = series.values
-    n = x.size
-    k = config.test_horizon
-    if k >= n:
-        raise InvalidSplitError(f"test_horizon {k} leaves no training data for length {n}")
+    x, k = series.values, config.test_horizon
     emb_params = EmbeddingParams(tau=chaos.tau, m=chaos.m)
 
+    fit_values = x
     if config.standardize:
-        mu = float(np.mean(x[: n - k]))
-        scale = float(np.std(x[: n - k]))
+        mu, scale = float(np.mean(x[:-k])), float(np.std(x[:-k]))
         if scale == 0.0:
             raise ZeroVarianceError("training segment is constant; cannot standardize")
         fit_values = (x - mu) / scale
-    else:
-        mu, scale = 0.0, 1.0
-        fit_values = x
 
     inputs, targets = reconstruct(TimeSeries(fit_values), emb_params)
     n_train = targets.size - k
@@ -579,12 +573,22 @@ def _run_seeded(
     )
 
 
+def _training_chaos(series: TimeSeries, config: PipelineConfig) -> ChaosReport:
+    """The chaos analysis of the training segment: the series without its
+    last ``config.test_horizon`` points, which only the test metrics see."""
+    n, k = series.values.size, config.test_horizon
+    if k >= n:
+        raise InvalidSplitError(f"test_horizon {k} leaves no training data for length {n}")
+    return analyze(TimeSeries(series.values[: n - k]), config.chaos)
+
+
 def run_model(
     series: TimeSeries, config: PipelineConfig, seed: int = 0
 ) -> tuple[RunResult, ChaosReport]:
     """Run ``config.model`` once with run seed ``seed``; also hand back the
-    chaos report, which holds the run's embedding and exponent."""
-    chaos = analyze(series, config.chaos)
+    chaos report of the training segment, which holds the run's embedding
+    and exponent."""
+    chaos = _training_chaos(series, config)
     return _run_seeded(series, config, chaos, seed), chaos
 
 
@@ -605,7 +609,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Re-run one model over many seeds and aggregate test-set quality.
 
-    The chaos analysis runs once and is shared by every seed's run. Seeds
+    The chaos analysis of the training segment runs once and is shared by
+    every seed's run. Seeds
     run in ``min(workers, len(seeds), usable CPUs)`` worker processes, one
     per share of them (``workers.run_shares``), or serially in this process
     when that is 1; results come back in seed order, so the report does not
@@ -620,7 +625,7 @@ def run_experiment(
     repeated = [s for s, c in Counter(seeds).items() if c > 1]
     if repeated:
         raise ConfigError(f"seed {repeated[0]} appears more than once in the seed list")
-    chaos = analyze(series, config.chaos)
+    chaos = _training_chaos(series, config)
     job = partial(_seed_outcome, series, config, chaos)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(workers, len(seeds), cpus or 1)

@@ -53,6 +53,14 @@ def ar2_values(n=200, seed=2024, intercept=0.05, phi1=0.49, phi2=0.49,
     return x[burn_in:]
 
 
+def flat_training_values(n=30, horizon=5):
+    """``n`` values whose training segment, all but the last ``horizon``,
+    is constant: a standardized run fails in every seed (ZeroVarianceError),
+    after a chaos analysis of that segment that only warns that divergence
+    tracking failed."""
+    return np.r_[np.ones(n - horizon), np.arange(2.0, 2.0 + horizon)]
+
+
 def write_series(series, path):
     """Write a series as CSV (``date,value`` when labelled, else ``value``),
     each value with ``repr`` so that loading it back is exact."""

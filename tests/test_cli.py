@@ -25,8 +25,15 @@ from chaospi.chaos import AnalyzeOptions, EmbeddingParams, analyze, lyapunov_ros
 from chaospi.errors import ConfigError
 from chaospi.nsga2 import NsgaParams
 from chaospi.pipeline import PipelineConfig
-from chaospi.series import TimeSeries
-from helpers import ar2_values, exit_in_worker, fork_only, logistic_map, write_series
+from chaospi.series import TimeSeries, load_series
+from helpers import (
+    ar2_values,
+    exit_in_worker,
+    flat_training_values,
+    fork_only,
+    logistic_map,
+    write_series,
+)
 
 SMALL_BLOCKS = {
     "stage2": {"pop_size": 16, "generations": 15},
@@ -167,18 +174,19 @@ def test_experiment_outputs_full_layout(tmp_path, series_csv, capsys):
 
 
 def test_experiment_reports_seed_failures(tmp_path, capsys):
-    short_csv = tmp_path / "short.csv"
-    write_series(TimeSeries(values=ar2_values(n=30, seed=2)), short_csv)
-    cfg = write_config(tmp_path, test_horizon=25)
+    flat_csv = tmp_path / "flat.csv"
+    write_series(TimeSeries(values=flat_training_values()), flat_csv)
+    cfg = write_config(tmp_path, standardize=True)
     out = tmp_path / "exp"
-    rc = cli.main([
-        "experiment", "--input", str(short_csv), "--config", str(cfg),
-        "--seeds", "0,1", "--out", str(out),
-    ])
+    with pytest.warns(UserWarning, match="divergence tracking failed"):
+        rc = cli.main([
+            "experiment", "--input", str(flat_csv), "--config", str(cfg),
+            "--seeds", "0,1", "--out", str(out),
+        ])
     assert rc == 1
     failures = json.loads((out / "failures.json").read_text())["failures"]
     assert [f["seed"] for f in failures] == [0, 1]
-    assert "SeriesTooShortError" in failures[0]["error"]
+    assert "ZeroVarianceError" in failures[0]["error"]
     assert "2 of 2 seeds failed" in capsys.readouterr().err
 
 
@@ -256,17 +264,18 @@ def test_reused_out_dir_holds_only_this_runs_fronts(tmp_path, series_csv, capsys
 
 
 def test_reused_out_dir_drops_surfaces_and_failures_of_earlier_runs(tmp_path, series_csv):
-    short_csv = tmp_path / "short.csv"
-    write_series(TimeSeries(values=ar2_values(n=30, seed=2)), short_csv)
-    short_cfg = tmp_path / "short"
-    short_cfg.mkdir()
+    flat_csv = tmp_path / "flat.csv"
+    write_series(TimeSeries(values=flat_training_values()), flat_csv)
+    flat_cfg = tmp_path / "flat"
+    flat_cfg.mkdir()
     out = tmp_path / "exp"
     argv = ["experiment", "--seeds", "0,1", "--out", str(out)]
     ok = argv + ["--input", str(series_csv), "--config", str(write_config(tmp_path))]
-    failing = argv + ["--input", str(short_csv),
-                      "--config", str(write_config(short_cfg, test_horizon=25))]
+    failing = argv + ["--input", str(flat_csv),
+                      "--config", str(write_config(flat_cfg, standardize=True))]
     assert cli.main(ok) == 0
-    assert cli.main(failing) == 1  # every seed fails: no fronts, no surfaces
+    with pytest.warns(UserWarning, match="divergence tracking failed"):
+        assert cli.main(failing) == 1  # every seed fails: no fronts, no surfaces
     assert os.listdir(out / "fronts") == []
     assert not any(name.startswith("eaf_") for name in os.listdir(out))
     assert (out / "failures.json").exists()
@@ -317,11 +326,15 @@ def test_commands_keep_each_others_files_in_a_shared_out_dir(tmp_path, series_cs
     assert set(intervals) == {"chaos.json", "divergence.csv", "report.json", "intervals.csv"}
     assert _contents(out) == {**intervals, "notes.txt": b"kept"}
 
-    # analyze into an intervals directory drops the run's report and rows
-    assert cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+    # analyze into an intervals directory drops the run's report and rows;
+    # the run's chaos files describe its training segment
+    training_csv = tmp_path / "training.csv"
+    series = load_series(str(series_csv))
+    write_series(TimeSeries(values=series.values[:-5], labels=series.labels[:-5]), training_csv)
+    assert cli.main(["analyze", "--input", str(training_csv), "--tau", "1", "--m", "2",
                      "--out", str(run)]) == 0
     assert set(_tree(run)) == {"chaos.json", "divergence.csv"}
-    assert _contents(run)["chaos.json"] == intervals["chaos.json"]
+    assert _contents(run) == {name: intervals[name] for name in ("chaos.json", "divergence.csv")}
 
     # experiment into an intervals directory drops its rows
     assert cli.main(["intervals", *common, "--out", str(run)]) == 0

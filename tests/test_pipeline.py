@@ -13,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chaospi import pipeline
 from chaospi.chaos import AnalyzeOptions, EmbeddingParams, reconstruct
@@ -45,7 +47,15 @@ from chaospi.pipeline import (
     select_point_model,
 )
 from chaospi.series import TimeSeries
-from helpers import ar2_values, dense_grid_search, exit_in_worker, fork_only, same_bits
+from helpers import (
+    ar2_values,
+    dense_grid_search,
+    exit_in_worker,
+    flat_training_values,
+    fork_only,
+    henon_x,
+    same_bits,
+)
 
 SMALL_STAGE2 = NsgaParams(pop_size=20, generations=25, crossover_prob=0.8,
                           crossover_eta=15.0, mutation_prob=1.0, mutation_eta=20.0)
@@ -102,6 +112,39 @@ def assert_same_runs(serial, parallel):
         assert (a.test.picp, a.test.piaw) == (b.test.picp, b.test.piaw)
     assert serial.picp_mean == parallel.picp_mean
     assert serial.piaw_std == parallel.piaw_std
+
+
+# One forced and one automatic (tau, m), each on a series it suits; the runs
+# hold out the last 6 points.
+EMBEDDINGS = {
+    "forced": (ar2_values(n=120, seed=77), AnalyzeOptions(tau=1, m=2)),
+    "automatic": (henon_x(100), AnalyzeOptions()),
+}
+# arbitrary finite values for the held-out points
+TEST_POINTS = st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=6, max_size=6)
+
+
+def chaos_bits(chaos):
+    """Every field of a chaos report, each float as its bits."""
+    curves = (chaos.e1_curve, chaos.e2_curve, chaos.divergence_curve)
+    return (chaos.tau, chaos.m, chaos.chaotic, np.float64(chaos.lyapunov).tobytes(),
+            *(None if c is None else c.tobytes() for c in curves))
+
+
+def training_bits(result):
+    """Everything a run takes from its training segment, each float as its
+    bits: the point model, the interval parameters, the front and every
+    training metric."""
+    ip, t = result.interval, result.train
+    floats = (result.point_model.coeffs, [ip.r1, ip.r2, ip.sigma], result.front,
+              t.point, t.lower, t.upper, t.actual,
+              [t.picp, t.piaw, result.train_smape, result.train_ds])
+    return (result.seed, result.point_model.params, result.front_objectives,
+            *(np.asarray(f, dtype=float).tobytes() for f in floats))
+
+
+def no_analysis(*args):
+    raise AssertionError("the chaos analysis ran")
 
 
 def dummy_model(m=1):
@@ -652,6 +695,17 @@ class TestSeededRuns:
             with pytest.raises(ZeroVarianceError):
                 self.run(flat, test_horizon=4, standardize=True)
 
+    @pytest.mark.parametrize("embedding", EMBEDDINGS)
+    @settings(max_examples=10, deadline=None)
+    @given(values=TEST_POINTS)
+    def test_test_points_reach_only_the_test_metrics(self, embedding, values):
+        x, options = EMBEDDINGS[embedding]
+        config = small_config(model="three_stage_dual", chaos=options)
+        base, base_chaos = run_model(TimeSeries(values=x), config, 3)
+        result, chaos = run_model(TimeSeries(values=np.r_[x[:-6], values]), config, 3)
+        assert chaos_bits(chaos) == chaos_bits(base_chaos)
+        assert training_bits(result) == training_bits(base)
+
     def test_horizon_must_leave_training_data(self):
         with pytest.raises(InvalidSplitError):
             self.run(self.series, test_horizon=120)
@@ -697,8 +751,9 @@ class TestExperiment:
         use_cpus(monkeypatch, cpus=2)
         series, config, raised = self.series, self.config, contextlib.nullcontext()
         if case == "failing_seeds":  # as in test_failing_seeds_are_recorded
-            series = TimeSeries(values=ar2_values(n=30, seed=8))
-            config = small_config(test_horizon=25)
+            series = TimeSeries(values=flat_training_values())
+            config = small_config(test_horizon=5, standardize=True)
+            raised = pytest.warns(UserWarning, match="divergence tracking failed")
         elif case == "dead_worker":
             monkeypatch.setattr(pipeline, "_seed_outcome", exit_in_worker)
             raised = pytest.raises(WorkerExitError)
@@ -717,6 +772,22 @@ class TestExperiment:
                 signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    # two worker processes, so that CI's start-method step checks the split
+    # inside spawned and forkserver workers too
+    @pytest.mark.parametrize("embedding", EMBEDDINGS)
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=TEST_POINTS)
+    def test_test_points_reach_only_the_test_metrics(self, monkeypatch, embedding, values):
+        use_cpus(monkeypatch, cpus=2)
+        x, options = EMBEDDINGS[embedding]
+        config = small_config(chaos=options)
+        base = run_experiment(TimeSeries(values=x), config, [0, 1], workers=1)
+        report = run_experiment(TimeSeries(values=np.r_[x[:-6], values]), config, [0, 1], workers=2)
+        assert report.failures == base.failures == []
+        assert chaos_bits(report.chaos) == chaos_bits(base.chaos)
+        assert [training_bits(r) for r in report.results] == [training_bits(r) for r in base.results]
+
     def test_aggregates_are_population_moments(self):
         report = run_experiment(self.series, self.config, [0, 1, 2, 3])
         picps = np.array([r.test.picp for r in report.results])
@@ -728,12 +799,27 @@ class TestExperiment:
     # process boundary as values
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_seeds_are_recorded(self, workers):
-        short = TimeSeries(values=ar2_values(n=30, seed=8))
-        report = run_experiment(short, small_config(test_horizon=25), [0, 1], workers=workers)
+        flat = TimeSeries(values=flat_training_values())
+        config = small_config(test_horizon=5, standardize=True)
+        with pytest.warns(UserWarning, match="divergence tracking failed"):
+            report = run_experiment(flat, config, [0, 1], workers=workers)
         assert report.results == []
         assert [s for s, _ in report.failures] == [0, 1]
-        assert "SeriesTooShortError" in report.failures[0][1]
+        assert "ZeroVarianceError" in report.failures[0][1]
         assert math.isnan(report.picp_mean) and math.isnan(report.piaw_mean)
+
+    def test_split_is_checked_before_the_analysis(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "analyze", no_analysis)
+        with pytest.raises(InvalidSplitError, match="test_horizon 100 leaves no training data"):
+            run_experiment(self.series, small_config(test_horizon=100), [0, 1])
+        with pytest.raises(InvalidSplitError, match="test_horizon 100 leaves no training data"):
+            run_model(self.series, small_config(test_horizon=100))
+
+    def test_a_training_segment_too_short_to_analyze_fails_the_whole_run(self):
+        # 5 training points hold fewer than the exponent's 20 state vectors
+        short = TimeSeries(values=ar2_values(n=30, seed=8))
+        with pytest.raises(SeriesTooShortError, match="at least 20 state vectors"):
+            run_experiment(short, small_config(test_horizon=25), [0, 1])
 
     def test_seed_list_must_not_be_empty(self):
         with pytest.raises(ConfigError):
@@ -755,9 +841,6 @@ class TestExperiment:
         ids=["negative", "float", "bool", "numpy_float", "str"],
     )
     def test_bad_seed_is_rejected_before_any_work(self, monkeypatch, seed, message):
-        def no_analysis(*args):
-            raise AssertionError("the chaos analysis ran")
-
         monkeypatch.setattr(pipeline, "analyze", no_analysis)
         with pytest.raises(ConfigError, match=f"run seeds must be {message}"):
             run_experiment(self.series, self.config, [2, seed])
