@@ -23,16 +23,15 @@ orientation.
 Evaluation: ``Problem.evaluate`` is called once for the initial population,
 then once per generation with all ``pop_size`` children in population order.
 
-Determinism: all stochastic choices come from one ``numpy`` Generator seeded
-with PCG64 (a named, documented 64-bit PRNG). Each generation makes two
-draws: one ``integers`` call for the tournaments' contenders, then one
-``random`` block that is split, in a fixed order, into the tournaments'
-coins, SBX's four arrays and mutation's three. PCG64 hands out doubles in
-sequence, so the block holds the same values as those eight arrays drawn
-one call each. Identical (problem, params, seed) triples reproduce runs bit
-for bit. Reproducibility is per seed and per draw order: drawing another
-array, or splitting the block in another order, changes the results of
-every seed.
+Determinism: all stochastic choices come from one counter-based SplitMix64
+stream (Steele, Lea & Flood 2014), :class:`Uniforms`, keyed by the seed.
+The initial population takes one block of ``pop * d`` uniforms; each
+generation then takes one block that is split, in a fixed order, into the
+tournaments' contenders (``floor(u * pop)``) and coins, SBX's four arrays
+and mutation's three. The stream is exact integer arithmetic, and identical
+(problem, params, seed) triples reproduce runs bit for bit. Reproducibility
+is per seed and per draw order: drawing another array, or splitting the
+block in another order, changes the results of every seed.
 """
 
 from __future__ import annotations
@@ -49,6 +48,53 @@ from .errors import ConfigError, DimensionMismatchError, is_number
 # SBX treats parent coordinates closer than this as identical, which keeps
 # crossover an exact fixed point for duplicate parents.
 _SBX_EPS = 1e-14
+
+# SplitMix64's counter increment (2**64 over the golden ratio) and its
+# finaliser's xor-shift-multiply rounds, before a last xor-shift by 31
+_GOLDEN, _M64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_U64_ROUNDS = [(np.uint64(shift), np.uint64(mul)) for shift, mul in _ROUNDS]
+_U64_31, _U64_11 = np.uint64(31), np.uint64(11)
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's finaliser of the integer ``z`` mod 2**64, a bijection."""
+    z &= _M64
+    for shift, mul in _ROUNDS:
+        z = (z ^ (z >> shift)) * mul & _M64
+    return z ^ (z >> 31)
+
+
+class Uniforms:
+    """A counter-based SplitMix64 stream of doubles in [0, 1).
+
+    The key is ``mix64(seed)``; draw ``i`` (i = 1, 2, ...) is
+    ``mix64(key + i * GOLDEN)``, and its top 53 bits times 2**-53 give the
+    uniform; ``drawn`` counts the draws handed out. Offsets are Python ints
+    and only ``uint64`` arrays are mixed, so that no numpy version warns on
+    the wrap-around or changes the dtype.
+    """
+
+    def __init__(self, seed: int):
+        if not (is_number(seed, numbers.Integral) and 0 <= seed <= _M64):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self.key, self.drawn = mix64(int(seed)), 0
+        self._steps = self._z = self._t = np.empty(0, dtype=np.uint64)
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, as a new float array."""
+        if n > self._steps.size:  # the buffers grow to the largest block drawn
+            self._steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+            self._z, self._t = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        z, t = self._z[:n], self._t[:n]
+        np.add(self._steps[:n], np.uint64((self.key + self.drawn * _GOLDEN) & _M64), out=z)
+        self.drawn += int(n)  # a numpy integer would overflow the offset
+        for shift, mul in _U64_ROUNDS:
+            z ^= np.right_shift(z, shift, out=t)
+            z *= mul
+        z ^= np.right_shift(z, _U64_31, out=t)
+        z >>= _U64_11
+        return z * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -329,7 +375,7 @@ def _offspring(
     lower: np.ndarray,
     upper: np.ndarray,
     params: NsgaParams,
-    rng: np.random.Generator,
+    uniforms: Uniforms,
 ) -> np.ndarray:
     """One generation's children of the population ``X`` in population
     order: tournaments, SBX over the winners' pairs, then mutation, drawn as
@@ -337,12 +383,13 @@ def _offspring(
     """
     pop, n_vars = X.shape
     half = pop // 2
-    mid = pop + half * (1 + 3 * n_vars)
-    contenders = rng.integers(0, pop, size=(2, pop))
-    u = rng.random(mid + pop * (1 + 2 * n_vars))
+    mid = 3 * pop + half * (1 + 3 * n_vars)
+    u = uniforms.draw(mid + pop * (1 + 2 * n_vars))
+    # u < 1, so floor(u * pop) < pop for every pop the engine accepts
+    contenders = (u[: 2 * pop] * pop).astype(np.intp).reshape(2, pop)
     # the first half of the winners pairs with the second
-    X_par = X[tournament_select(rank, crowding, contenders, u[:pop])]
-    C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, u[pop:mid])
+    X_par = X[tournament_select(rank, crowding, contenders, u[2 * pop : 3 * pop])]
+    C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, u[3 * pop : mid])
     return polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, u[mid:])
 
 
@@ -404,23 +451,25 @@ def run(
     seed: int = 0,
     on_generation: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[tuple[np.ndarray, tuple[float, float]]]:
-    """Run the full loop from a PCG64 generator seeded with ``seed`` and
-    return front 0 of the final population as ``(x, f)`` pairs in population
-    order; each ``x`` is a fresh array.
+    """Run the full loop from the :class:`Uniforms` stream of ``seed``, an
+    integer in [0, 2**64) (else ``ConfigError``), and return front 0 of the
+    final population as ``(x, f)`` pairs in population order; each ``x`` is
+    a fresh array.
 
     ``on_generation`` fires after each survivor selection (and once for the
     evaluated initial population) with the generation number and the
     ``(pop, 2)`` objective array; mutating it is a caller bug.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    uniforms = Uniforms(seed)
     lower, upper = problem.lower, problem.upper
 
-    X = rng.uniform(lower, upper, size=(params.pop_size, lower.size))
+    u = uniforms.draw(params.pop_size * lower.size).reshape(params.pop_size, lower.size)
+    X = lower + (upper - lower) * u
     F = _evaluate(problem, X)
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):
         if gen > 0:
-            offspring = _offspring(X, rank, crowding, lower, upper, params, rng)
+            offspring = _offspring(X, rank, crowding, lower, upper, params, uniforms)
             X = np.concatenate([X, offspring])
             F = np.concatenate([F, _evaluate(problem, offspring)])
         keep, rank, crowding = _select_next(F, params.pop_size)

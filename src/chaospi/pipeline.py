@@ -20,9 +20,9 @@ standard deviation of the training point predictions:
   (PIAW) directly, with a single shared r or separate r1/r2 depending on the
   variant.
 
-Every run is reproducible from its integer seed: the two optimizer stages
-draw their own seeds from disjoint SeedSequence children, so two- and
-three-stage runs with the same seed share an identical stage-2 model.
+Every run is reproducible from its integer seed in [0, 2**63), which
+``_stage_seeds`` hashes into one engine seed per optimizer stage, so two-
+and three-stage runs with the same seed share an identical stage-2 model.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     ZeroVarianceError,
     is_number,
 )
-from .nsga2 import NsgaParams, Problem, run as nsga_run
+from .nsga2 import NsgaParams, Problem, mix64, run as nsga_run
 from .series import TimeSeries
 
 # Open-interval constraints (-0.5, 0.5) for coefficients and (0, 1) for the
@@ -487,18 +487,23 @@ def select_interval_params(
 
 
 def _run_seed(seed) -> int:
-    """``seed`` as an int; it must be a non-negative integer, not a bool."""
+    """``seed`` as an int; it must be an integer in [0, 2**63), not a bool,
+    so that the stage keys ``2 * seed`` and ``2 * seed + 1`` fit 64 bits."""
     if not is_number(seed, numbers.Integral):
         raise ConfigError(f"run seeds must be integers, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"run seeds must be non-negative, got {seed}")
+    if seed >= 2**63:
+        raise ConfigError(f"run seeds must be below 2**63, got {seed}")
     return int(seed)
 
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
-    """Independent per-stage seeds derived from one run seed."""
-    children = np.random.SeedSequence(_run_seed(seed)).spawn(2)
-    return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
+    """The engine seeds of stages 2 and 3 for one run seed: ``mix64`` of
+    ``2 * seed`` and of ``2 * seed + 1``. ``mix64`` is a bijection, so no
+    two stages of any two runs share a seed."""
+    seed = _run_seed(seed)
+    return mix64(2 * seed), mix64(2 * seed + 1)
 
 
 def _interval_series(pred, actual, ip: IntervalParams) -> IntervalSeries:
@@ -588,6 +593,7 @@ def run_model(
     """Run ``config.model`` once with run seed ``seed``; also hand back the
     chaos report of the training segment, which holds the run's embedding
     and exponent."""
+    seed = _run_seed(seed)  # before the analysis, as in run_experiment
     chaos = _training_chaos(series, config)
     return _run_seeded(series, config, chaos, seed), chaos
 

@@ -471,10 +471,58 @@ def reference_polynomial_mutation(X, lower, upper, params, rng):
     return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
 
 
+# SplitMix64 (Steele, Lea & Flood 2014) in integer arithmetic mod 2**64, the
+# reference that ``nsga2.mix64`` and ``nsga2.Uniforms`` match bit for bit.
+SPLITMIX_GOLDEN = 0x9E3779B97F4A7C15
+_SPLITMIX_MULS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def splitmix64_mix(z):
+    """SplitMix64's finaliser of a 64-bit integer."""
+    z = (z ^ (z >> 30)) * _SPLITMIX_MULS[0] % 2**64
+    z = (z ^ (z >> 27)) * _SPLITMIX_MULS[1] % 2**64
+    return z ^ (z >> 31)
+
+
+def splitmix64_unmix(z):
+    """The inverse of ``splitmix64_mix``: undo each xor-shift and multiply."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = z * pow(_SPLITMIX_MULS[1], -1, 2**64) % 2**64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(_SPLITMIX_MULS[0], -1, 2**64) % 2**64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+class ReferenceUniforms:
+    """The engine's stream, one integer at a time: the key of ``seed`` is
+    ``splitmix64_mix(seed)``, draw i (i = 1, 2, ...) is
+    ``splitmix64_mix(key + i * GOLDEN mod 2**64)`` and the uniform is its
+    top 53 bits over 2**53. ``random`` and ``integers`` hand out the next
+    values in the shapes numpy's Generator methods of those names take;
+    ``integers(0, k)`` is ``floor(u * k)``."""
+
+    def __init__(self, seed):
+        self.key, self.drawn = splitmix64_mix(seed), 0
+
+    def words(self, n):
+        first = self.drawn + 1
+        self.drawn += n
+        return [splitmix64_mix((self.key + i * SPLITMIX_GOLDEN) % 2**64)
+                for i in range(first, first + n)]
+
+    def random(self, size):
+        u = [(w >> 11) / 2**53 for w in self.words(int(np.prod(size)))]
+        return np.array(u).reshape(size)
+
+    def integers(self, low, high, size):
+        return low + np.floor(self.random(size) * (high - low)).astype(np.intp)
+
+
 def reference_offspring(X, rank, crowding, lower, upper, params, rng):
     """One generation's children as ``nsga2._offspring`` makes them, with
     every array drawn by its own call, in the engine's order: contenders,
-    coins, then SBX's four arrays and mutation's three."""
+    coins, then SBX's four arrays and mutation's three. ``rng`` is a
+    ``ReferenceUniforms``."""
     pop = X.shape[0]
     i, j = rng.integers(0, pop, size=(2, pop))
     coin = rng.random(pop) < 0.5

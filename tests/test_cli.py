@@ -414,6 +414,15 @@ def test_workers_below_one_exit_one(tmp_path, series_csv, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["intervals", "experiment"])
+def test_seed_beyond_2_63_exits_one(tmp_path, series_csv, capsys, command):
+    rc = cli.main([command, "--input", str(series_csv), "--config", str(write_config(tmp_path)),
+                   "--seeds", str(2**63), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: run seeds must be below 2**63, got 9223372036854775808" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @fork_only
 def test_dead_worker_exits_one(tmp_path, series_csv, capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -852,24 +861,26 @@ def test_experiment_does_not_import_numpy_ma(tmp_path, series_csv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_analyze_does_not_import_numpy_random(tmp_path):
+@pytest.mark.parametrize("command", ["analyze", "intervals", "experiment"])
+def test_commands_do_not_import_numpy_random(tmp_path, command):
     # numpy.random pulls in secrets -> hmac -> OpenSSL, about 6 MB of peak
-    # RSS and 14 ms of start-up that analyze has no use for
+    # RSS and 14 ms of start-up; the engine's SplitMix64 stream and the
+    # stage seeds need only uint64 arithmetic
     probe = "import sys, numpy; print('numpy.random' in sys.modules)"
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     if loaded.stdout.strip() != "False":
         pytest.skip("importing numpy alone loads numpy.random")
     path = tmp_path / "logistic.csv"
     write_series(TimeSeries(values=logistic_map(300)), path)
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    if command != "analyze":
+        argv += ["--config", str(write_config(tmp_path, workers=1)), "--seeds", "1,2"]
     run = ("import sys, chaospi, chaospi.cli; rc = chaospi.cli.main(sys.argv[1:]); "
            "print('numpy.random' in sys.modules); sys.exit(rc)")
-    proc = subprocess.run(
-        [sys.executable, "-c", run, "analyze", "--input", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
+    proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "chaos.json").exists()
+    written = {"analyze": "chaos.json", "intervals": "intervals.csv", "experiment": "report.json"}
+    assert (tmp_path / "out" / written[command]).exists()
     assert proc.stdout.splitlines()[-1] == "False"
 
 

@@ -22,6 +22,8 @@ from chaospi.nsga2 import (
     tournament_select,
 )
 from helpers import (
+    SPLITMIX_GOLDEN,
+    ReferenceUniforms,
     brute_force_fronts,
     crowding_distance,
     elitism_violations,
@@ -30,6 +32,8 @@ from helpers import (
     reference_sbx_crossover,
     reference_select,
     same_bits,
+    splitmix64_mix,
+    splitmix64_unmix,
 )
 
 
@@ -445,8 +449,8 @@ def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
 @pytest.mark.parametrize("n_vars, rate", [(1, None), (3, 0.5), (8, None)])
 def test_offspring_from_one_block_equal_separate_draws(n_vars, rate):
     """Generations drawn as one block of uniforms match the same arrays
-    drawn one call each, bit for bit, and leave the generator in the same
-    state, so the engine's PCG64 stream is unchanged."""
+    drawn one call each from the pure-Python SplitMix64, bit for bit, and
+    leave the stream's counter at the same place."""
     params = params_for(n_vars, crossover_prob=0.75, mutation_prob=0.8,
                         mutation_prob_per_var=rate)
     lo, hi = np.full(n_vars, -1.0), np.full(n_vars, 2.0)
@@ -455,13 +459,72 @@ def test_offspring_from_one_block_equal_separate_draws(n_vars, rate):
     X[1::4] = X[::4]  # equal parents
     rank = setup.integers(0, 3, params.pop_size)
     crowding = setup.choice([0.5, 1.0, np.inf], params.pop_size)  # ties
-    rng = np.random.Generator(np.random.PCG64(2024))
-    ref_rng = np.random.Generator(np.random.PCG64(2024))
+    uniforms, ref = nsga2.Uniforms(2024), ReferenceUniforms(2024)
     for _ in range(5):
-        got = nsga2._offspring(X, rank, crowding, lo, hi, params, rng)
-        assert same_bits(got, reference_offspring(X, rank, crowding, lo, hi, params, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        got = nsga2._offspring(X, rank, crowding, lo, hi, params, uniforms)
+        assert same_bits(got, reference_offspring(X, rank, crowding, lo, hi, params, ref))
+        assert uniforms.drawn == ref.drawn
         X = got
+
+
+def test_splitmix64_reference_gives_the_published_stream():
+    # SplitMix64 from state 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4
+    assert ReferenceUniforms(0).words(2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    for z in [0, 1, 2**63, 2**64 - 1, SPLITMIX_GOLDEN]:
+        assert splitmix64_unmix(splitmix64_mix(z)) == z
+
+
+# seeds whose stream keys are 0, 1 and 2**64 - 1
+KEY_SEEDS = [splitmix64_unmix(key) for key in (0, 1, 2**64 - 1)]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS, ids=["key0", "key1", "key_max"])
+@pytest.mark.parametrize("n, m", [(1, 1), (7, 300), (300, 7), (640, 640)])
+def test_uniforms_match_the_reference_in_any_split(seed, n, m):
+    """Drawing n then m values equals drawing n + m, and both equal the
+    pure-Python SplitMix64 bit for bit."""
+    split = nsga2.Uniforms(seed)
+    got = np.concatenate([split.draw(n), split.draw(m)])
+    assert split.key == nsga2.mix64(seed) == splitmix64_mix(seed)
+    assert same_bits(got, nsga2.Uniforms(seed).draw(n + m))
+    assert same_bits(got, ReferenceUniforms(seed).random(n + m))
+    assert split.drawn == n + m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniforms_are_uniform_and_uncorrelated(seed):
+    """Over 10**6 draws, chi-square over 100 equal bins (99 degrees of
+    freedom, mean 99, sd 14) lies in (50, 160), and the lag-1 correlation
+    (sd 0.001) is below 0.005 in size."""
+    u = nsga2.Uniforms(seed).draw(10**6)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    counts = np.bincount((u * 100).astype(int), minlength=100)
+    chi2 = float(np.sum((counts - 10**4) ** 2) / 10**4)
+    assert 50.0 < chi2 < 160.0
+    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 0.005
+
+
+def test_contenders_stay_in_range_at_the_largest_uniform():
+    # the seed whose first draw is the word 2**64 - 1, the largest uniform
+    key = (splitmix64_unmix(2**64 - 1) - SPLITMIX_GOLDEN) % 2**64
+    u = nsga2.Uniforms(splitmix64_unmix(key)).draw(1)[0]
+    assert u == 1.0 - 2.0**-53
+    pops = np.arange(4, 10_001, 2)
+    assert np.all((u * pops).astype(np.intp) == pops - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.float64(2.0), "3", None])
+def test_run_rejects_seeds_outside_0_to_2_64(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer in"):
+        run(two_bowl_problem(), params_for(1, generations=1), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int8(5)])
+def test_run_takes_any_integer_seed_in_0_to_2_64(seed):
+    def fingerprint(s):
+        return [(x.tolist(), f) for x, f in run(two_bowl_problem(), params_for(1, generations=2), s)]
+
+    assert fingerprint(seed) == fingerprint(int(seed))
 
 
 def test_params_validation():
@@ -572,16 +635,20 @@ def test_run_is_deterministic():
 # Front 0 of a seeded 3-variable ZDT1 run (pop 12, 10 generations, seed
 # 2024), recorded with repr precision. Any change to the order, shape or
 # number of random draws moves these values; a rewrite that changes the
-# PCG64 stream on purpose must update them and say so.
+# SplitMix64 stream on purpose must update them and say so.
 PINNED_ZDT1_FRONT = [
-    ([0.0, 0.18085309914823405, 0.05556307091707027], (0.0, 2.0638727652938695)),
-    ([0.8274015442218986, 0.0, 0.0], (0.8274015442218986, 0.09038384786664078)),
-    ([0.7315724298740729, 0.17232787711776137, 0.0], (0.7315724298740729, 0.6357873813885249)),
-    ([0.030741302072841252, 0.0, 0.02116457773934842], (0.030741302072841252, 0.9117491228540933)),
-    ([0.13334423970192227, 0.0, 0.02116457773934842], (0.13334423970192227, 0.7130835312353465)),
-    ([0.0042772138588098585, 0.0, 0.08978911106718161], (0.0042772138588098585, 1.3265563135662255)),
-    ([0.016198065000888825, 0.018892433242018707, 0.0], (0.016198065000888825, 0.9524446145334051)),
-    ([0.030741302072841252, 0.0, 0.02116457773934842], (0.030741302072841252, 0.9117491228540933)),
+    ([0.0, 0.0, 0.0], (0.0, 1.0)),
+    ([0.1395487577002545, 0.0, 0.0], (0.1395487577002545, 0.6264377458839632)),
+    ([0.0, 0.0, 0.0], (0.0, 1.0)),
+    ([0.05085462098316751, 0.0, 0.021842030366307618], (0.05085462098316751, 0.8619565790644073)),
+    ([0.005134286052650154, 0.0, 0.0], (0.005134286052650154, 0.9283460674306696)),
+    ([0.07674167487519595, 0.0, 0.0], (0.07674167487519595, 0.7229771221086678)),
+    ([0.10916872056500937, 0.0, 0.0020006602571399634], (0.10916872056500937, 0.6771120803398057)),
+    ([0.0640251625344096, 0.0, 0.0], (0.0640251625344096, 0.7469680602484943)),
+    ([0.13050736375922356, 0.0, 0.0], (0.13050736375922356, 0.6387419706647013)),
+    ([0.001987630478771374, 0.0012409203340786085, 0.0], (0.001987630478771374, 0.960876986722254)),
+    ([0.1176373818280767, 0.0, 0.0], (0.1176373818280767, 0.6570169365288182)),
+    ([0.0697198494893644, 0.0, 0.000611621650615885], (0.0697198494893644, 0.7383440160677153)),
 ]
 
 

@@ -55,6 +55,7 @@ from helpers import (
     fork_only,
     henon_x,
     same_bits,
+    splitmix64_mix,
 )
 
 SMALL_STAGE2 = NsgaParams(pop_size=20, generations=25, crossover_prob=0.8,
@@ -499,23 +500,22 @@ def test_interval_stages_share_input_checks(fit, actual, pred, sigma, error, mes
 
 # Front 0 of a dual stage-3 run (pop 12, 20 generations, seed 11) on 40
 # points whose gaps to the forecast take six distinct values, recorded with
-# repr precision. -PICP takes only multiples of 1/40, so survivor selection
-# meets many tied and equal points; the values hold that sort to its output.
+# repr precision from the engine's SplitMix64 stream. -PICP takes only
+# multiples of 1/40, so survivor selection meets many tied and equal points;
+# the values hold that sort to its output.
 PINNED_STAGE3_X = [
-    [1e-06, 1e-06], [0.5045550420510158, 0.5001397341901228], [1e-06, 1e-06],
-    [0.30978361273807736, 0.5023706091206476], [0.22555265349600537, 0.11098049293956716],
-    [1e-06, 0.10505170502225193], [1e-06, 0.46142187220056186],
-    [0.11083286856393912, 0.5001397341901228], [0.225915150039218, 0.5005001694755388],
-    [0.49525670633011454, 0.5036958259056152], [0.020784577061253345, 0.5023896015441629],
-    [0.21619390662719273, 1e-06],
+    [1e-06, 1e-06], [1e-06, 1e-06], [0.5289514043325287, 0.5002253802470193],
+    [0.5410008055294848, 0.31807442403121444], [0.21896943448792164, 0.1032963189998041],
+    [1e-06, 0.1253186480345741], [0.0015665778187786837, 0.41567470743701784],
+    [0.2109590903487205, 1e-06], [1e-06, 0.5015762097532046],
+    [0.2052444165478331, 0.5011510627040195], [0.2052444165478331, 0.4042887234928355],
+    [0.17444074521193417, 0.5011510627040195],
 ]
 PINNED_STAGE3_F = [
-    [-0.075, 2.0000000000421957e-06], [-1.0, 1.0046947762411387],
-    [-0.075, 2.0000000000421957e-06], [-0.825, 0.812154221858725],
-    [-0.35, 0.3365331464355724], [-0.175, 0.10505270502225202],
-    [-0.45, 0.4614228722005619], [-0.65, 0.6109726027540618],
-    [-0.725, 0.7264153195147568], [-0.9, 0.9989525322357299],
-    [-0.55, 0.5231741786054163], [-0.25, 0.21619490662719273],
+    [-0.075, 2.0000000000421957e-06], [-0.075, 2.0000000000421957e-06], [-1.0, 1.029176784579548],
+    [-0.8, 0.8590752295606994], [-0.35, 0.3222657534877258], [-0.175, 0.1253196480345741],
+    [-0.45, 0.4172412852557965], [-0.25, 0.21096009034872049], [-0.55, 0.5015772097532046],
+    [-0.725, 0.7063954792518526], [-0.625, 0.6095331400406687], [-0.65, 0.6755918079159537],
 ]
 
 
@@ -530,28 +530,30 @@ def test_stage3_reproduces_pinned_front():
 
 # Front 0 of a stage-2 run (pop 12, 20 generations, seed 11) on an AR(2)
 # draw of 80 points embedded with tau = 1, m = 2, recorded with repr
-# precision. The objective is a BLAS matrix product, so the values also
-# hold the batches the engine hands it to their shape.
+# precision from the engine's SplitMix64 stream. The objective is a BLAS
+# matrix product, so the values also hold the batches the engine hands it
+# to their shape.
 PINNED_STAGE2_X = [
-    [0.486889700343153, -0.37034301376547324, 0.40500605936429374],
-    [0.42973047169567496, 0.3174959224107795, 0.499999],
-    [0.486889700343153, -0.37034301376547324, 0.40500605936429374],
-    [0.4705835139971294, 0.02785972739289852, 0.499999],
-    [0.471143685571581, 0.07046678058024393, 0.4993251707195935],
-    [0.486889700343153, -0.37034301376547324, 0.499999],
-    [0.499999, -0.24310526442286687, 0.499999], [0.499999, -0.24310526442286687, 0.499999],
-    [0.499999, -0.32141162377298593, 0.499999],
-    [0.4490009480677739, 0.1881245150540663, 0.499999],
-    [0.4533222934393501, 0.22593611069731612, 0.499999],
-    [0.4539475833543145, 0.2708098568277778, 0.499999],
+    [-0.17600969127575156, -0.3551555374181851, -0.1327640466358102],
+    [0.3005158730915997, -0.33728190464896357, -0.14135642984775598],
+    [0.24256853541915652, 0.39753251521719163, 0.499999],
+    [0.3079476415010019, -0.3226063968433573, 0.36127721997773027],
+    [0.23999948946020433, 0.20602881424172248, 0.499999],
+    [0.37094472200346107, -0.29985321257376757, 0.4114698736873535],
+    [0.31129883728809005, 0.038431456677535364, 0.499999],
+    [0.303044000921758, -0.1385291710848393, 0.41966598257873816],
+    [0.24389455064913837, -0.09780378417282212, 0.4676973159286981],
+    [0.23143685052432525, 0.2766248462850389, 0.499999],
+    [0.303044000921758, -0.10515613755204133, 0.4242930524714735],
+    [0.2308665019367371, 0.2588593824521882, 0.499999],
 ]
 PINNED_STAGE2_F = [
-    [120.65522978858485, -66.23376623376623], [1.8770872337206945, -46.75324675324675],
-    [120.65522978858485, -66.23376623376623], [30.955266092082784, -57.14285714285714],
-    [25.47729984159915, -53.246753246753244], [98.09997550004614, -64.93506493506493],
-    [71.26529693381913, -62.33766233766234], [71.26529693381913, -62.33766233766234],
-    [86.44368193478859, -63.63636363636363], [12.50763015695204, -51.94805194805194],
-    [8.127188622497773, -49.35064935064935], [3.5853436482209107, -48.05194805194805],
+    [200.00000000000003, -67.53246753246754], [200.00000000000003, -67.53246753246754],
+    [1.7252223714262476, -45.45454545454545], [141.06049742718093, -66.23376623376623],
+    [21.23260674424055, -49.35064935064935], [114.18311038801599, -64.93506493506493],
+    [39.190582676094685, -57.14285714285714], [83.21924411592866, -61.038961038961034],
+    [71.25747014321959, -58.44155844155844], [13.368975064609176, -46.75324675324675],
+    [75.81935780618244, -59.74025974025974], [15.433977398693669, -48.05194805194805],
 ]
 
 
@@ -561,6 +563,12 @@ def test_stage2_reproduces_pinned_front():
     X, F = fit_stage2(inputs, targets, emb, NsgaParams(12, 20), 11)
     assert X.tolist() == PINNED_STAGE2_X
     assert F.tolist() == PINNED_STAGE2_F
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_stage_seeds_hash_the_two_keys_of_the_run_seed(seed):
+    # the keys 2s and 2s + 1 of the run seeds in [0, 2**63) fill [0, 2**64)
+    assert pipeline._stage_seeds(seed) == (splitmix64_mix(2 * seed), splitmix64_mix(2 * seed + 1))
 
 
 class TestIntervalSelection:
@@ -629,6 +637,12 @@ class TestSeededRuns:
     @staticmethod
     def run(series, seed=0, **kw):
         return run_model(series, small_config(**kw), seed)[0]
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
+    def test_bad_seed_is_rejected_before_the_analysis(self, monkeypatch, seed):
+        monkeypatch.setattr(pipeline, "analyze", no_analysis)
+        with pytest.raises(ConfigError, match="run seeds must be"):
+            run_model(self.series, small_config(), seed)
 
     def test_two_stage_run_is_internally_consistent(self):
         config = small_config()
@@ -837,8 +851,9 @@ class TestExperiment:
             (True, "integers, got True"),
             (np.float64(2.0), "integers"),
             ("3", "integers, got '3'"),
+            (2**63, r"below 2\*\*63, got 9223372036854775808"),
         ],
-        ids=["negative", "float", "bool", "numpy_float", "str"],
+        ids=["negative", "float", "bool", "numpy_float", "str", "too_large"],
     )
     def test_bad_seed_is_rejected_before_any_work(self, monkeypatch, seed, message):
         monkeypatch.setattr(pipeline, "analyze", no_analysis)
