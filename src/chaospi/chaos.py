@@ -431,8 +431,9 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
 
     Overrides in ``options`` are applied verbatim and skip the corresponding
     selection step (the Cao curves are omitted when ``m`` is forced). When
-    divergence tracking finds no usable pairs the exponent is NaN and the
-    series is reported as non-chaotic, with a warning.
+    divergence tracking finds no usable pairs, or the series holds fewer
+    than the 20 state vectors it needs, the exponent is NaN and the series
+    is reported as non-chaotic, with a warning.
     """
     opts = options or AnalyzeOptions()
     x = series.values
@@ -463,7 +464,7 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
         )
         exponent = est.exponent
         divergence = est.divergence
-    except NoValidPairsError as exc:
+    except (NoValidPairsError, SeriesTooShortError) as exc:
         warnings.warn(
             f"divergence tracking failed ({exc}); reporting non-chaotic",
             stacklevel=2,

@@ -14,7 +14,10 @@ crowding distance as per-row arrays alongside. A generation is a handful of
 array operations: all tournaments at once, SBX over all pairs, mutation
 over all children, one batched evaluation, and survivor selection by row
 indices into the merged parents + offspring arrays. The operators are pure
-functions of the uniforms they are handed.
+functions of the population and of variates that do not depend on it:
+tournament contenders and coins, SBX's masks and weights, mutation's mask
+and steps. Those are made for a block of generations at once, so the loop
+keeps only the work that reads the population.
 
 Both objectives are minimized. Callers wanting to maximize an objective
 negate it and un-negate on the way out; the engine never special-cases
@@ -28,10 +31,14 @@ stream (Steele, Lea & Flood 2014), :class:`Uniforms`, keyed by the seed.
 The initial population takes one block of ``pop * d`` uniforms; each
 generation then takes one block that is split, in a fixed order, into the
 tournaments' contenders (``floor(u * pop)``) and coins, SBX's four arrays
-and mutation's three. The stream is exact integer arithmetic, and identical
-(problem, params, seed) triples reproduce runs bit for bit. Reproducibility
-is per seed and per draw order: drawing another array, or splitting the
-block in another order, changes the results of every seed.
+and mutation's three. The stream is drawn a block of generations at a
+time, one call for as many generations as fit in ``_BLOCK_ELEMS``
+uniforms (at least one); since draws are counted, each generation's split
+and values are the same as if it drew its own block. The stream is exact
+integer arithmetic, and identical (problem, params, seed) triples
+reproduce runs bit for bit. Reproducibility is per seed and per draw
+order: drawing another array, or splitting the block in another order,
+changes the results of every seed.
 """
 
 from __future__ import annotations
@@ -48,6 +55,10 @@ from .errors import ConfigError, DimensionMismatchError, is_number
 # SBX treats parent coordinates closer than this as identical, which keeps
 # crossover an exact fixed point for duplicate parents.
 _SBX_EPS = 1e-14
+
+# The most uniforms drawn and transformed in one block of generations,
+# unless one generation alone needs more
+_BLOCK_ELEMS = 2**13
 
 # SplitMix64's counter increment (2**64 over the golden ratio) and its
 # finaliser's xor-shift-multiply rounds, before a last xor-shift by 31
@@ -88,7 +99,7 @@ class Uniforms:
             self._z, self._t = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
         z, t = self._z[:n], self._t[:n]
         np.add(self._steps[:n], np.uint64((self.key + self.drawn * _GOLDEN) & _M64), out=z)
-        self.drawn += int(n)  # a numpy integer would overflow the offset
+        self.drawn += n
         for shift, mul in _U64_ROUNDS:
             z ^= np.right_shift(z, shift, out=t)
             z *= mul
@@ -134,9 +145,9 @@ class NsgaParams:
     ``mutation_prob`` gates mutation per individual; ``mutation_prob_per_var``
     is the per-variable rate inside a mutated individual and defaults to
     one over the number of variables when left as None. The seed is passed
-    to :func:`run`. ``pop_size`` and ``generations`` must be integers and the
-    other fields real numbers (``numbers.Integral``, ``numbers.Real``); a
-    bool is neither.
+    to :func:`run`. ``pop_size`` and ``generations`` must be integers, kept
+    as Python ints, and the other fields real numbers (``numbers.Integral``,
+    ``numbers.Real``); a bool is neither.
     """
 
     pop_size: int = 50
@@ -152,6 +163,7 @@ class NsgaParams:
             v = getattr(self, name)
             if not is_number(v, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # no fixed-width arithmetic
         reals = ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta"]
         if self.mutation_prob_per_var is not None:
             reals.append("mutation_prob_per_var")
@@ -272,18 +284,18 @@ def _front_crowding(
 
 
 def tournament_select(
-    rank: np.ndarray, crowding: np.ndarray, contenders: np.ndarray, u: np.ndarray
+    rank: np.ndarray, crowding: np.ndarray, contenders: np.ndarray, coins: np.ndarray
 ) -> np.ndarray:
     """Binary tournaments under the crowded comparison operator between the
     rows ``contenders[0]`` and ``contenders[1]``, a ``(2, size)`` index array.
 
     Lower rank wins; equal ranks fall back to larger crowding distance; a
-    full tie is settled by a coin flip, ``u < 0.5``, from ``size`` uniforms.
+    full tie goes to ``contenders[0]`` where the boolean ``coins`` is True.
     Returns the winning row indices.
     """
     i, j = contenders
     ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
-    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & (u < 0.5))))
+    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & coins)))
     return np.where(i_wins, i, j)
 
 
@@ -292,33 +304,27 @@ def sbx_crossover(
     P2: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    params: NsgaParams,
-    u: np.ndarray,
+    cross: np.ndarray,
+    swap: np.ndarray,
+    plus: np.ndarray,
+    minus: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover of the row pairs of two ``(pairs, n_vars)``
-    arrays, with distribution index ``crossover_eta``.
+    arrays.
 
-    Each pair is crossed with probability ``crossover_prob``; inside a
-    crossed pair each variable participates with probability 0.5 and the two
-    offspring values are assigned to the children in random order, as in
-    Deb's reference implementation (the swap is what lets good coordinates
-    recombine across the pair). Children are mean-preserving before the
-    final clip to the box; they are new arrays, never views of the parents.
-
-    ``u`` holds ``pairs * (1 + 3 * n_vars)`` uniforms in [0, 1): one per
-    pair for the crossing gate, then, per variable of each pair, one
-    ``(pairs, n_vars)`` block each for participation, the spread factor and
-    the child order.
+    The variates are ``(pairs, n_vars)`` arrays. ``cross`` marks the
+    variables that take part: their pair is crossed, with probability
+    ``crossover_prob``, and inside it each variable takes part with
+    probability 0.5. ``plus`` and ``minus`` are ``1 + beta`` and
+    ``1 - beta`` for the spread factor ``beta`` of distribution index
+    ``crossover_eta``, and ``swap`` assigns the two offspring values to the
+    children in random order, as in Deb's reference implementation (the
+    swap is what lets good coordinates recombine across the pair). Parent
+    values closer than ``_SBX_EPS`` do not cross. Children are
+    mean-preserving before the final clip to the box; they are new arrays,
+    never views of the parents.
     """
-    pairs, n_vars = P1.shape
-    crossed = (u[:pairs] < params.crossover_prob)[:, None]
-    take, spread, swap = u[pairs:].reshape(3, pairs, n_vars)
-    active = crossed & (take < 0.5) & (np.abs(P1 - P2) > _SBX_EPS)
-    swap = swap < 0.5
-    beta = np.where(spread <= 0.5, 2.0 * spread, 1.0 / (2.0 * (1.0 - spread)))
-    beta **= 1.0 / (params.crossover_eta + 1.0)
-    plus = 1.0 + beta  # each weight formed once
-    minus = np.subtract(1.0, beta, out=beta)
+    active = cross & (np.abs(P1 - P2) > _SBX_EPS)
     lo = plus * P1
     lo += minus * P2
     lo *= 0.5
@@ -335,62 +341,66 @@ def polynomial_mutation(
     X: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    params: NsgaParams,
-    u: np.ndarray,
+    mutate: np.ndarray,
+    step: np.ndarray,
 ) -> np.ndarray:
-    """Polynomial mutation of the rows of ``X`` with distribution index
-    ``mutation_eta``.
+    """Polynomial mutation of the rows of ``X``: ``step`` is added where the
+    boolean ``mutate`` is True, and the result is clipped back into the box.
+    Returns a new array.
 
-    Each row is mutated with probability ``mutation_prob``; inside a
-    mutated row each variable mutates independently at the per-variable
-    rate. The perturbation is a polynomial-distributed fraction of the
-    variable's range, clipped back into the box. Returns a new array.
-
-    ``u`` holds ``k * (1 + 2 * n_vars)`` uniforms in [0, 1) for ``k`` rows:
-    one per row for its gate, then one ``(k, n_vars)`` block each for the
-    per-variable gate and the perturbation.
+    Both variates have the shape of ``X``. A row is mutated with
+    probability ``mutation_prob``, and inside a mutated row each variable
+    at the per-variable rate; a step is a polynomial-distributed fraction,
+    of distribution index ``mutation_eta``, of its variable's range.
     """
-    k, n_vars = X.shape
-    rate = params.mutation_prob_per_var
-    if rate is None:
-        rate = 1.0 / n_vars
-    gate, perturb = u[k:].reshape(2, k, n_vars)
-    mutated = (u[:k] < params.mutation_prob)[:, None] & (gate < rate)
-    # (2u)^e - 1 below u = 0.5, else 1 - (2(1 - u))^e, with one power
-    low = perturb < 0.5
-    delta = np.where(low, perturb, 1.0 - perturb)
-    delta *= 2.0
-    delta **= 1.0 / (params.mutation_eta + 1.0)
-    delta = np.where(low, delta - 1.0, 1.0 - delta)
-    delta *= upper - lower
-    delta += X
-    Y = np.where(mutated, delta, X)
+    Y = np.where(mutate, step + X, X)
     return Y.clip(lower, upper, out=Y)
 
 
-def _offspring(
-    X: np.ndarray,
-    rank: np.ndarray,
-    crowding: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    params: NsgaParams,
-    uniforms: Uniforms,
-) -> np.ndarray:
-    """One generation's children of the population ``X`` in population
-    order: tournaments, SBX over the winners' pairs, then mutation, drawn as
-    the module docstring says.
+def _variates(uniforms: Uniforms, params: NsgaParams, span: np.ndarray):
+    """Yield each generation's variates, drawn as the module docstring says,
+    in the order ``contenders, coins, cross, swap, plus, minus, mutate,
+    step`` (see :func:`tournament_select`, :func:`sbx_crossover` and
+    :func:`polynomial_mutation`); ``span`` is ``upper - lower``.
+
+    Each block of generations is one draw and one set of array operations;
+    every element goes through the float operations it would go through
+    alone, so the values do not depend on the block size.
     """
-    pop, n_vars = X.shape
+    pop, n_vars = params.pop_size, span.size
     half = pop // 2
     mid = 3 * pop + half * (1 + 3 * n_vars)
-    u = uniforms.draw(mid + pop * (1 + 2 * n_vars))
-    # u < 1, so floor(u * pop) < pop for every pop the engine accepts
-    contenders = (u[: 2 * pop] * pop).astype(np.intp).reshape(2, pop)
-    # the first half of the winners pairs with the second
-    X_par = X[tournament_select(rank, crowding, contenders, u[2 * pop : 3 * pop])]
-    C1, C2 = sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, u[3 * pop : mid])
-    return polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, u[mid:])
+    width = mid + pop * (1 + 2 * n_vars)
+    block = max(1, _BLOCK_ELEMS // width)
+    rate = params.mutation_prob_per_var
+    if rate is None:
+        rate = 1.0 / n_vars
+    for start in range(0, params.generations, block):
+        gens = min(block, params.generations - start)
+        u = uniforms.draw(gens * width).reshape(gens, width)
+        # u < 1, so floor(u * pop) < pop for every pop the engine accepts
+        contenders = (u[:, : 2 * pop] * pop).astype(np.intp).reshape(gens, 2, pop)
+        coins = u[:, 2 * pop : 3 * pop] < 0.5
+        # SBX: per pair a crossing gate, then per variable participation,
+        # spread factor and child order
+        sbx = u[:, 3 * pop + half : mid].reshape(gens, 3, half, n_vars)
+        take, spread, swap = sbx.swapaxes(0, 1)
+        cross = (u[:, 3 * pop : 3 * pop + half, None] < params.crossover_prob) & (take < 0.5)
+        beta = np.where(spread <= 0.5, 2.0 * spread, 1.0 / (2.0 * (1.0 - spread)))
+        beta **= 1.0 / (params.crossover_eta + 1.0)
+        plus = 1.0 + beta  # each weight formed once
+        minus = np.subtract(1.0, beta, out=beta)
+        # mutation: per row a gate, then per variable a gate and a step
+        gate, perturb = u[:, mid + pop :].reshape(gens, 2, pop, n_vars).swapaxes(0, 1)
+        mutate = (u[:, mid : mid + pop, None] < params.mutation_prob) & (gate < rate)
+        # (2u)^e - 1 below u = 0.5, else 1 - (2(1 - u))^e, with one power
+        low = perturb < 0.5
+        delta = np.where(low, perturb, 1.0 - perturb)
+        delta *= 2.0
+        delta **= 1.0 / (params.mutation_eta + 1.0)
+        step = np.where(low, delta - 1.0, 1.0 - delta)
+        step *= span
+        yield from zip(contenders, coins, cross, swap < 0.5, plus, minus, mutate, step)
 
 
 def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -462,14 +472,22 @@ def run(
     """
     uniforms = Uniforms(seed)
     lower, upper = problem.lower, problem.upper
+    half = params.pop_size // 2
 
     u = uniforms.draw(params.pop_size * lower.size).reshape(params.pop_size, lower.size)
     X = lower + (upper - lower) * u
     F = _evaluate(problem, X)
+    variates = _variates(uniforms, params, upper - lower)
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):
         if gen > 0:
-            offspring = _offspring(X, rank, crowding, lower, upper, params, uniforms)
+            contenders, coins, cross, swap, plus, minus, mutate, step = next(variates)
+            # the first half of the winners pairs with the second
+            X_par = X[tournament_select(rank, crowding, contenders, coins)]
+            C1, C2 = sbx_crossover(
+                X_par[:half], X_par[half:], lower, upper, cross, swap, plus, minus
+            )
+            offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, mutate, step)
             X = np.concatenate([X, offspring])
             F = np.concatenate([F, _evaluate(problem, offspring)])
         keep, rank, crowding = _select_next(F, params.pop_size)

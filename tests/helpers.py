@@ -16,6 +16,7 @@ from chaospi.errors import (
     ParseError,
     SeriesTooShortError,
 )
+from chaospi.nsga2 import _select_next
 from chaospi.series import TimeSeries
 
 
@@ -440,35 +441,52 @@ def dense_grid_search(actual, predicted, sigma, grid_step, picp_target):
 # kept as oracles that the in-place versions must match bit for bit.
 
 
-def reference_sbx_crossover(P1, P2, lower, upper, params, rng):
-    """``nsga2.sbx_crossover`` with every expression written out."""
-    pairs, n_vars = P1.shape
+def reference_sbx_variates(pairs, n_vars, params, rng):
+    """``nsga2.sbx_crossover``'s ``(cross, swap, plus, minus)`` for ``pairs``
+    row pairs, written out from the next ``pairs * (1 + 3 * n_vars)``
+    uniforms of ``rng``: the crossing gates, then participation, the spread
+    factor and the child order, one array per call."""
     crossed = (rng.random(pairs) < params.crossover_prob)[:, None]
-    active = crossed & (rng.random((pairs, n_vars)) < 0.5) & (np.abs(P1 - P2) > 1e-14)
+    cross = crossed & (rng.random((pairs, n_vars)) < 0.5)
     u = rng.random((pairs, n_vars))
     swap = rng.random((pairs, n_vars)) < 0.5
     exponent = 1.0 / (params.crossover_eta + 1.0)
     beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** exponent
-    lo = 0.5 * ((1.0 + beta) * P1 + (1.0 - beta) * P2)
-    hi = 0.5 * ((1.0 - beta) * P1 + (1.0 + beta) * P2)
+    return cross, swap, 1.0 + beta, 1.0 - beta
+
+
+def reference_sbx_crossover(P1, P2, lower, upper, params, rng):
+    """``nsga2.sbx_crossover`` with every expression written out."""
+    cross, swap, plus, minus = reference_sbx_variates(*P1.shape, params, rng)
+    active = cross & (np.abs(P1 - P2) > 1e-14)
+    lo = 0.5 * (plus * P1 + minus * P2)
+    hi = 0.5 * (minus * P1 + plus * P2)
     C1 = np.where(active, np.where(swap, hi, lo), P1)
     C2 = np.where(active, np.where(swap, lo, hi), P2)
     return np.clip(C1, lower, upper), np.clip(C2, lower, upper)
 
 
-def reference_polynomial_mutation(X, lower, upper, params, rng):
-    """``nsga2.polynomial_mutation`` with every expression written out."""
-    k, n_vars = X.shape
+def reference_mutation_variates(k, n_vars, span, params, rng):
+    """``nsga2.polynomial_mutation``'s ``(mutate, step)`` for ``k`` rows of
+    a box whose ranges are ``span``, written out from the next
+    ``k * (1 + 2 * n_vars)`` uniforms of ``rng``: the row gates, then the
+    per-variable gates and the perturbations, one array per call."""
     rate = params.mutation_prob_per_var
     if rate is None:
         rate = 1.0 / n_vars
-    mutated = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
+    mutate = (rng.random(k) < params.mutation_prob)[:, None] & (rng.random((k, n_vars)) < rate)
     u = rng.random((k, n_vars))
     exponent = 1.0 / (params.mutation_eta + 1.0)
     delta = np.where(
         u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent
     )
-    return np.clip(np.where(mutated, X + delta * (upper - lower), X), lower, upper)
+    return mutate, delta * span
+
+
+def reference_polynomial_mutation(X, lower, upper, params, rng):
+    """``nsga2.polynomial_mutation`` with every expression written out."""
+    mutate, step = reference_mutation_variates(*X.shape, upper - lower, params, rng)
+    return np.clip(np.where(mutate, X + step, X), lower, upper)
 
 
 # SplitMix64 (Steele, Lea & Flood 2014) in integer arithmetic mod 2**64, the
@@ -519,9 +537,9 @@ class ReferenceUniforms:
 
 
 def reference_offspring(X, rank, crowding, lower, upper, params, rng):
-    """One generation's children as ``nsga2._offspring`` makes them, with
-    every array drawn by its own call, in the engine's order: contenders,
-    coins, then SBX's four arrays and mutation's three. ``rng`` is a
+    """One generation's children as ``nsga2.run`` makes them, with every
+    array drawn by its own call, in the engine's order: contenders, coins,
+    then SBX's four arrays and mutation's three. ``rng`` is a
     ``ReferenceUniforms``."""
     pop = X.shape[0]
     i, j = rng.integers(0, pop, size=(2, pop))
@@ -531,6 +549,25 @@ def reference_offspring(X, rank, crowding, lower, upper, params, rng):
     half = pop // 2
     C1, C2 = reference_sbx_crossover(X_par[:half], X_par[half:], lower, upper, params, rng)
     return reference_polynomial_mutation(np.concatenate([C1, C2]), lower, upper, params, rng)
+
+
+def reference_batches(problem, params, seed):
+    """Every batch ``nsga2.run`` hands to ``problem.evaluate``, replayed on
+    one ``ReferenceUniforms``: the initial population, then each
+    generation's children from ``reference_offspring``. Survivors come from
+    ``nsga2._select_next``, which its own tests hold to ``reference_select``."""
+    rng = ReferenceUniforms(seed)
+    lower, upper = problem.lower, problem.upper
+    X = lower + (upper - lower) * rng.random((params.pop_size, lower.size))
+    F, batches = problem.evaluate(X), [X]
+    for gen in range(params.generations + 1):
+        if gen > 0:
+            batches.append(reference_offspring(X, rank, crowding, lower, upper, params, rng))
+            X = np.concatenate([X, batches[-1]])
+            F = np.concatenate([F, problem.evaluate(batches[-1])])
+        keep, rank, crowding = _select_next(F, params.pop_size)
+        X, F = X[keep], F[keep]
+    return batches
 
 
 def reference_smape(a, p):

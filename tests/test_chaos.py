@@ -244,6 +244,13 @@ class TestAnalyze:
         assert np.isnan(report.lyapunov)
         assert report.chaotic is False
 
+    def test_too_few_state_vectors_report_non_chaotic(self):
+        # 25 points at tau 1, m 8 give 18 state vectors, below Rosenstein's 20
+        with pytest.warns(UserWarning, match="divergence tracking failed .need at least 20"):
+            report = analyze(TimeSeries(values=logistic_map(25)), AnalyzeOptions(tau=1, m=8))
+        assert np.isnan(report.lyapunov) and report.divergence_curve is None
+        assert report.chaotic is False
+
     def test_chaotic_flag_is_sign_of_exponent(self):
         report = analyze(TimeSeries(values=logistic_map(600)), AnalyzeOptions(tau=1, m=2))
         assert report.chaotic == (report.lyapunov >= 0.0)

@@ -101,6 +101,20 @@ def test_analyze_with_forced_dimension_skips_cao(tmp_path, series_csv):
     assert "NaN" not in text and "Infinity" not in text
 
 
+def test_analyze_reports_null_lambda_below_20_state_vectors(tmp_path, capsys):
+    # 25 points at tau 1, m 8 hold 18 state vectors
+    short_csv = tmp_path / "short.csv"
+    write_series(TimeSeries(values=ar2_values(n=25)), short_csv)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="need at least 20 state vectors, got 18"):
+        rc = cli.main(["analyze", "--input", str(short_csv), "--tau", "1", "--m", "8",
+                       "--out", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "chaos.json").read_text())
+    assert payload["lambda"] is None and payload["chaotic"] is False
+    assert "lambda=nan (not chaotic)" in capsys.readouterr().out
+
+
 def test_intervals_runs_and_reruns_identically(tmp_path, series_csv):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

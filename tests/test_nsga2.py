@@ -27,9 +27,11 @@ from helpers import (
     brute_force_fronts,
     crowding_distance,
     elitism_violations,
-    reference_offspring,
+    reference_batches,
+    reference_mutation_variates,
     reference_polynomial_mutation,
     reference_sbx_crossover,
+    reference_sbx_variates,
     reference_select,
     same_bits,
     splitmix64_mix,
@@ -267,7 +269,7 @@ def test_crowding_skips_objectives_without_finite_spread(objs, interior):
 def tournaments(rank, crowding, size, rng):
     """``size`` tournaments among all rows, drawn as the engine draws them."""
     contenders = rng.integers(0, rank.size, size=(2, size))
-    return tournament_select(rank, crowding, contenders, rng.random(size))
+    return tournament_select(rank, crowding, contenders, rng.random(size) < 0.5)
 
 
 def test_tournament_prefers_rank_then_crowding():
@@ -293,10 +295,32 @@ def test_tournament_tie_breaks_by_fair_coin():
 
 def test_tournament_coin_is_the_uniform_below_one_half():
     # a full tie in every tournament: row 0 meets row 1, so the coin decides
-    rank, crowding = np.zeros(2, dtype=int), np.ones(2)
-    contenders = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
-    wins = tournament_select(rank, crowding, contenders, np.array([0.0, 0.4999, 0.5, 0.99]))
+    rank, crowding = np.zeros(4, dtype=int), np.ones(4)
+    params = NsgaParams(pop_size=4, generations=1)
+    block = np.zeros(generation_width(4, 1))
+    block[4:8] = 0.3  # floor(0.3 * 4) = 1
+    block[8:12] = [0.0, 0.4999, 0.5, 0.99]
+    contenders, coins = next(nsga2._variates(FixedUniforms(block), params, np.ones(1)))[:2]
+    assert contenders.tolist() == [[0, 0, 0, 0], [1, 1, 1, 1]]
+    wins = tournament_select(rank, crowding, contenders, coins)
     assert wins.tolist() == [0, 0, 1, 1]
+
+
+class FixedUniforms:
+    """Stands in for ``nsga2.Uniforms``, handing out the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def draw(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        assert out.size == n
+        return out
+
+
+def generation_width(pop, n_vars):
+    """The uniforms one generation draws: contenders, coins, SBX, mutation."""
+    return 3 * pop + pop // 2 * (1 + 3 * n_vars) + pop * (1 + 2 * n_vars)
 
 
 def params_for(n_vars, **kw):
@@ -305,14 +329,14 @@ def params_for(n_vars, **kw):
     return NsgaParams(**defaults)
 
 
-def sbx_uniforms(rng, pairs, n_vars):
-    """The uniforms ``sbx_crossover`` takes for ``pairs`` row pairs."""
-    return rng.random(pairs * (1 + 3 * n_vars))
+def sbx_variates(rng, pairs, n_vars, params):
+    """The variates ``sbx_crossover`` takes for ``pairs`` row pairs."""
+    return reference_sbx_variates(pairs, n_vars, params, rng)
 
 
-def mutation_uniforms(rng, k, n_vars):
-    """The uniforms ``polynomial_mutation`` takes for ``k`` rows."""
-    return rng.random(k * (1 + 2 * n_vars))
+def mutation_variates(rng, X, lo, hi, params):
+    """The variates ``polynomial_mutation`` takes for the rows of ``X``."""
+    return reference_mutation_variates(*X.shape, hi - lo, params, rng)
 
 
 def test_sbx_identical_parents_are_fixed_points():
@@ -320,7 +344,7 @@ def test_sbx_identical_parents_are_fixed_points():
     P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, params, sbx_uniforms(rng, 50, 3))
+    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *sbx_variates(rng, 50, 3, params))
     assert np.array_equal(C1, P) and np.array_equal(C2, P)
 
 
@@ -328,7 +352,7 @@ def test_sbx_zero_probability_returns_copies():
     rng = np.random.default_rng(1)
     P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
     params = params_for(1, crossover_prob=0.0)
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), params, sbx_uniforms(rng, 5, 1))
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), *sbx_variates(rng, 5, 1, params))
     assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
     C1[0, 0] = 99.0
     assert P1[0, 0] == 0.2  # children are copies, not views
@@ -340,7 +364,7 @@ def test_sbx_preserves_pair_mean_inside_wide_box():
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
     rng = np.random.default_rng(0)
     params = params_for(2, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 200, 2))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 200, 2, params))
     assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
 
 
@@ -351,7 +375,7 @@ def test_sbx_offspring_order_is_randomized():
     lo, hi = np.zeros(1), np.ones(1)
     rng = np.random.default_rng(0)
     params = params_for(1, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 100, 1))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 100, 1, params))
     moved = C1[:, 0] != 0.3
     assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
@@ -363,7 +387,7 @@ def test_sbx_respects_bounds(seed):
     P1 = np.tile([0.01, 0.99, 0.5], (8, 1))
     P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), params, sbx_uniforms(rng, 8, 3))
+    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), *sbx_variates(rng, 8, 3, params))
     for C in (C1, C2):
         assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
@@ -372,7 +396,8 @@ def test_mutation_zero_rate_is_identity():
     rng = np.random.default_rng(0)
     X = np.full((6, 2), 0.5)
     params = params_for(2, mutation_prob_per_var=0.0)
-    Y = polynomial_mutation(X, np.zeros(2), np.ones(2), params, mutation_uniforms(rng, 6, 2))
+    lo, hi = np.zeros(2), np.ones(2)
+    Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
     assert np.array_equal(Y, X)
     Y[0, 0] = 9.0
     assert X[0, 0] == 0.5
@@ -384,7 +409,8 @@ def test_mutation_respects_bounds(seed):
     rng = np.random.default_rng(seed)
     X = np.tile([0.0, 1.0, 0.5], (8, 1))
     params = params_for(3, mutation_prob_per_var=1.0)
-    Y = polynomial_mutation(X, np.zeros(3), np.ones(3), params, mutation_uniforms(rng, 8, 3))
+    lo, hi = np.zeros(3), np.ones(3)
+    Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
     assert np.all(Y >= 0.0) and np.all(Y <= 1.0)
 
 
@@ -395,7 +421,7 @@ def test_mutation_spread_shrinks_with_eta():
     def mean_move(eta):
         rng = np.random.default_rng(0)
         params = params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta)
-        Y = polynomial_mutation(X, lo, hi, params, mutation_uniforms(rng, 500, 1))
+        Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
         return np.mean(np.abs(Y - 0.5))
 
     assert mean_move(5.0) > mean_move(50.0)
@@ -426,7 +452,7 @@ def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
         P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
         P2[:4] = P1[:4]  # equal parents
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx_crossover(P1, P2, lo, hi, params, sbx_uniforms(rng, 12, 3))
+        got = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 12, 3, params))
         want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
@@ -441,30 +467,59 @@ def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
     for seed in range(10):
         X = edge_cells(seed, (24, 3))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = polynomial_mutation(X, lo, hi, params, mutation_uniforms(rng, 24, 3))
+        got = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
         assert same_bits(got, reference_polynomial_mutation(X, lo, hi, params, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("n_vars, rate", [(1, None), (3, 0.5), (8, None)])
-def test_offspring_from_one_block_equal_separate_draws(n_vars, rate):
-    """Generations drawn as one block of uniforms match the same arrays
-    drawn one call each from the pure-Python SplitMix64, bit for bit, and
-    leave the stream's counter at the same place."""
-    params = params_for(n_vars, crossover_prob=0.75, mutation_prob=0.8,
-                        mutation_prob_per_var=rate)
+def rounded_objectives(n_vars):
+    """A linear bi-objective map rounded to one decimal, so that ranks and
+    crowding distances tie often."""
+    W = np.random.default_rng(n_vars).normal(size=(n_vars, 2))
+    return lambda X: np.round(X @ W, 1)
+
+
+# (pop, d): blocks of 256, 91, 10 and 4 generations, one of 6 565 uniforms,
+# and one generation of 8 255, more than a block holds
+@pytest.mark.parametrize("pop, n_vars, rate",
+                         [(4, 1, None), (6, 3, 0.5), (70, 2, None), (50, 9, None),
+                          (202, 8, 0.5), (254, 8, None)])
+def test_children_match_the_reference_across_block_boundaries(monkeypatch, pop, n_vars, rate):
+    """Runs of 0, 1, G - 1, G, G + 1 and 2G + 1 generations, G being the
+    generations one block of uniforms holds, hand ``evaluate`` the batches
+    of the reference replay, which draws every array by its own call from
+    the pure-Python SplitMix64, bit for bit. No draw exceeds one block of
+    2**13 uniforms or one generation's, and a run draws exactly the
+    initial population's and each generation's uniforms."""
+    width = generation_width(pop, n_vars)
+    block = max(1, 2**13 // width)
+    draws, batches = [], []
+    draw = nsga2.Uniforms.draw
+
+    def draw_spy(self, n):
+        draws.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(nsga2.Uniforms, "draw", draw_spy)
+    objectives = rounded_objectives(n_vars)
     lo, hi = np.full(n_vars, -1.0), np.full(n_vars, 2.0)
-    setup = np.random.default_rng(n_vars)
-    X = setup.uniform(lo, hi, size=(params.pop_size, n_vars))
-    X[1::4] = X[::4]  # equal parents
-    rank = setup.integers(0, 3, params.pop_size)
-    crowding = setup.choice([0.5, 1.0, np.inf], params.pop_size)  # ties
-    uniforms, ref = nsga2.Uniforms(2024), ReferenceUniforms(2024)
-    for _ in range(5):
-        got = nsga2._offspring(X, rank, crowding, lo, hi, params, uniforms)
-        assert same_bits(got, reference_offspring(X, rank, crowding, lo, hi, params, ref))
-        assert uniforms.drawn == ref.drawn
-        X = got
+    problem = Problem(lo, hi, objectives)
+    recording = Problem(lo, hi, lambda X: batches.append(X.copy()) or objectives(X))
+
+    def params(generations):
+        return NsgaParams(pop_size=pop, generations=generations, crossover_prob=0.75,
+                          mutation_prob=0.8, mutation_prob_per_var=rate)
+
+    want = reference_batches(problem, params(2 * block + 1), seed=pop)
+    for generations in sorted({0, 1, block - 1, block, block + 1, 2 * block + 1}):
+        draws.clear()
+        batches.clear()
+        run(recording, params(generations), seed=pop)
+        assert len(batches) == generations + 1
+        for got, ref in zip(batches, want):
+            assert same_bits(got, ref)
+        assert max(draws) <= max(width, 2**13)
+        assert sum(draws) == pop * n_vars + generations * width
 
 
 def test_splitmix64_reference_gives_the_published_stream():
@@ -572,11 +627,16 @@ def test_params_reject_values_the_engine_cannot_run(field, value):
 
 
 def test_params_take_any_integral_or_real_number():
-    params = NsgaParams(pop_size=np.int64(8), generations=np.int32(2), crossover_prob=np.float32(0.5),
-                        crossover_eta=10, mutation_prob=1, mutation_prob_per_var=np.float64(0.5),
-                        mutation_eta=Fraction(20))
+    reals = dict(crossover_prob=np.float32(0.5), crossover_eta=10, mutation_prob=1,
+                 mutation_prob_per_var=np.float64(0.5), mutation_eta=Fraction(20))
+    params = NsgaParams(pop_size=np.int64(8), generations=np.int32(2), **reals)
+    # integers are kept as Python ints, so that block sizes and the
+    # stream's counter never meet fixed-width arithmetic
+    assert type(params.pop_size) is int and type(params.generations) is int
     front = run(two_bowl_problem(), params, seed=3)
     assert front
+    plain = run(two_bowl_problem(), NsgaParams(pop_size=8, generations=2, **reals), seed=3)
+    assert [(x.tolist(), f) for x, f in front] == [(x.tolist(), f) for x, f in plain]
 
 
 def test_problem_validation():
@@ -670,18 +730,11 @@ def test_run_zero_generations_returns_initial_front():
 
 
 @pytest.mark.parametrize("rates", [0.9, 0.0], ids=["varied", "no_variation"])
-def test_evaluate_gets_every_child_once_per_generation(monkeypatch, rates):
+def test_evaluate_gets_every_child_once_per_generation(rates):
     """One batch for the initial population, then one per generation holding
     exactly the mutated offspring array in population order, also when no
     child differs from its parent."""
-    events, children = [], []
-    mutate = nsga2.polynomial_mutation
-
-    def mutate_spy(*args):
-        children.append(mutate(*args))
-        return children[-1]
-
-    monkeypatch.setattr(nsga2, "polynomial_mutation", mutate_spy)
+    events = []
     inner = two_bowl_problem().evaluate
 
     def evaluate(X):
@@ -691,6 +744,7 @@ def test_evaluate_gets_every_child_once_per_generation(monkeypatch, rates):
     problem = Problem(lower=np.array([-5.0]), upper=np.array([5.0]), evaluate=evaluate)
     params = params_for(1, pop_size=6, generations=8, crossover_prob=rates, mutation_prob=rates)
     run(problem, params, seed=3, on_generation=lambda g, F: events.append(("gen", g)))
+    children = reference_batches(two_bowl_problem(), params, seed=3)[1:]
 
     kinds = [kind for kind, _ in events]
     assert kinds == ["eval", "gen"] + ["eval", "gen"] * params.generations

@@ -644,6 +644,17 @@ class TestSeededRuns:
         with pytest.raises(ConfigError, match="run seeds must be"):
             run_model(self.series, small_config(), seed)
 
+    def test_training_segment_too_short_for_the_exponent_still_runs(self):
+        """Stage 1 reports a NaN exponent, with a warning, when the training
+        segment holds fewer than 20 state vectors; the model still runs on
+        its 17 training rows."""
+        config = small_config(test_horizon=5, chaos=AnalyzeOptions(tau=1, m=8))
+        with pytest.warns(UserWarning, match="need at least 20 state vectors, got 18"):
+            result, chaos = run_model(TimeSeries(values=ar2_values(n=30)), config, 0)
+        assert math.isnan(chaos.lyapunov) and chaos.chaotic is False
+        assert (chaos.tau, chaos.m) == (1, 8)
+        assert len(result.train.point) == 17 and len(result.test.point) == 5
+
     def test_two_stage_run_is_internally_consistent(self):
         config = small_config()
         result, chaos = run_model(self.series, config, 0)
@@ -724,8 +735,10 @@ class TestSeededRuns:
         with pytest.raises(InvalidSplitError):
             self.run(self.series, test_horizon=120)
         short = TimeSeries(values=ar2_values(n=30, seed=1))
-        with pytest.raises(SeriesTooShortError):
-            self.run(short, test_horizon=25)
+        # the exponent is NaN for 5 training points, and the model cannot fit
+        with pytest.warns(UserWarning, match="at least 20 state vectors"):
+            with pytest.raises(SeriesTooShortError):
+                self.run(short, test_horizon=25)
 
 
 class TestExperiment:
@@ -830,10 +843,22 @@ class TestExperiment:
             run_model(self.series, small_config(test_horizon=100))
 
     def test_a_training_segment_too_short_to_analyze_fails_the_whole_run(self):
-        # 5 training points hold fewer than the exponent's 20 state vectors
+        # 5 training points cannot give Cao's method a dimension at tau 2
         short = TimeSeries(values=ar2_values(n=30, seed=8))
-        with pytest.raises(SeriesTooShortError, match="at least 20 state vectors"):
-            run_experiment(short, small_config(test_horizon=25), [0, 1])
+        config = small_config(test_horizon=25, chaos=AnalyzeOptions(tau=2))
+        with pytest.raises(SeriesTooShortError, match="cannot support Cao's method"):
+            run_experiment(short, config, [0, 1])
+
+    def test_a_training_segment_too_short_for_the_exponent_fails_each_seed(self):
+        # 5 training points hold fewer than the exponent's 20 state vectors,
+        # and fewer than stage 2's rows
+        short = TimeSeries(values=ar2_values(n=30, seed=8))
+        with pytest.warns(UserWarning, match="at least 20 state vectors"):
+            report = run_experiment(short, small_config(test_horizon=25), [0, 1])
+        assert math.isnan(report.chaos.lyapunov) and report.chaos.chaotic is False
+        assert report.results == []
+        assert [s for s, _ in report.failures] == [0, 1]
+        assert "SeriesTooShortError" in report.failures[0][1]
 
     def test_seed_list_must_not_be_empty(self):
         with pytest.raises(ConfigError):
