@@ -329,22 +329,12 @@ def params_for(n_vars, **kw):
     return NsgaParams(**defaults)
 
 
-def sbx_variates(rng, pairs, n_vars, params):
-    """The variates ``sbx_crossover`` takes for ``pairs`` row pairs."""
-    return reference_sbx_variates(pairs, n_vars, params, rng)
-
-
-def mutation_variates(rng, X, lo, hi, params):
-    """The variates ``polynomial_mutation`` takes for the rows of ``X``."""
-    return reference_mutation_variates(*X.shape, hi - lo, params, rng)
-
-
 def test_sbx_identical_parents_are_fixed_points():
     rng = np.random.default_rng(1)
     P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *sbx_variates(rng, 50, 3, params))
+    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *reference_sbx_variates(50, 3, params, rng))
     assert np.array_equal(C1, P) and np.array_equal(C2, P)
 
 
@@ -352,7 +342,8 @@ def test_sbx_zero_probability_returns_copies():
     rng = np.random.default_rng(1)
     P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
     params = params_for(1, crossover_prob=0.0)
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(1), np.ones(1), *sbx_variates(rng, 5, 1, params))
+    lo, hi = np.zeros(1), np.ones(1)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(5, 1, params, rng))
     assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
     C1[0, 0] = 99.0
     assert P1[0, 0] == 0.2  # children are copies, not views
@@ -364,7 +355,7 @@ def test_sbx_preserves_pair_mean_inside_wide_box():
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
     rng = np.random.default_rng(0)
     params = params_for(2, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 200, 2, params))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(200, 2, params, rng))
     assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
 
 
@@ -375,7 +366,7 @@ def test_sbx_offspring_order_is_randomized():
     lo, hi = np.zeros(1), np.ones(1)
     rng = np.random.default_rng(0)
     params = params_for(1, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 100, 1, params))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(100, 1, params, rng))
     moved = C1[:, 0] != 0.3
     assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
@@ -387,7 +378,8 @@ def test_sbx_respects_bounds(seed):
     P1 = np.tile([0.01, 0.99, 0.5], (8, 1))
     P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, np.zeros(3), np.ones(3), *sbx_variates(rng, 8, 3, params))
+    lo, hi = np.zeros(3), np.ones(3)
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(8, 3, params, rng))
     for C in (C1, C2):
         assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
@@ -397,7 +389,7 @@ def test_mutation_zero_rate_is_identity():
     X = np.full((6, 2), 0.5)
     params = params_for(2, mutation_prob_per_var=0.0)
     lo, hi = np.zeros(2), np.ones(2)
-    Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
+    Y = polynomial_mutation(X, lo, hi, *reference_mutation_variates(*X.shape, hi - lo, params, rng))
     assert np.array_equal(Y, X)
     Y[0, 0] = 9.0
     assert X[0, 0] == 0.5
@@ -410,7 +402,7 @@ def test_mutation_respects_bounds(seed):
     X = np.tile([0.0, 1.0, 0.5], (8, 1))
     params = params_for(3, mutation_prob_per_var=1.0)
     lo, hi = np.zeros(3), np.ones(3)
-    Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
+    Y = polynomial_mutation(X, lo, hi, *reference_mutation_variates(*X.shape, hi - lo, params, rng))
     assert np.all(Y >= 0.0) and np.all(Y <= 1.0)
 
 
@@ -421,7 +413,8 @@ def test_mutation_spread_shrinks_with_eta():
     def mean_move(eta):
         rng = np.random.default_rng(0)
         params = params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta)
-        Y = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
+        variates = reference_mutation_variates(*X.shape, hi - lo, params, rng)
+        Y = polynomial_mutation(X, lo, hi, *variates)
         return np.mean(np.abs(Y - 0.5))
 
     assert mean_move(5.0) > mean_move(50.0)
@@ -452,7 +445,7 @@ def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
         P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
         P2[:4] = P1[:4]  # equal parents
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx_crossover(P1, P2, lo, hi, *sbx_variates(rng, 12, 3, params))
+        got = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(12, 3, params, rng))
         want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
@@ -467,7 +460,8 @@ def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
     for seed in range(10):
         X = edge_cells(seed, (24, 3))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = polynomial_mutation(X, lo, hi, *mutation_variates(rng, X, lo, hi, params))
+        variates = reference_mutation_variates(*X.shape, hi - lo, params, rng)
+        got = polynomial_mutation(X, lo, hi, *variates)
         assert same_bits(got, reference_polynomial_mutation(X, lo, hi, params, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
