@@ -431,9 +431,11 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
 
     Overrides in ``options`` are applied verbatim and skip the corresponding
     selection step (the Cao curves are omitted when ``m`` is forced). When
-    divergence tracking finds no usable pairs, or the series holds fewer
-    than the 20 state vectors it needs, the exponent is NaN and the series
-    is reported as non-chaotic, with a warning.
+    divergence tracking finds no usable pairs, or the series holds at least
+    one but fewer than the 20 state vectors it needs, the exponent is NaN
+    and the series is reported as non-chaotic, with a warning. A ``tau``
+    and ``m`` that leave no state vector at all raise
+    :class:`SeriesTooShortError`.
     """
     opts = options or AnalyzeOptions()
     x = series.values
@@ -456,10 +458,15 @@ def analyze(series: TimeSeries, options: AnalyzeOptions | None = None) -> ChaosR
             )
         m, e1, e2 = cao_min_dimension(x, tau, max_dim, opts.cao_threshold)
 
+    params = EmbeddingParams(tau=tau, m=m)
+    if n <= (m - 1) * tau:
+        raise SeriesTooShortError(
+            f"series of length {n} holds no state vector at tau {tau}, m {m}"
+        )
     divergence = None
     try:
         est = lyapunov_rosenstein(
-            x, EmbeddingParams(tau=tau, m=m), theiler_window=opts.theiler_window,
+            x, params, theiler_window=opts.theiler_window,
             k_max=opts.k_max, fit_start=opts.fit_start, fit_stop=opts.fit_stop,
         )
         exponent = est.exponent

@@ -244,12 +244,21 @@ class TestAnalyze:
         assert np.isnan(report.lyapunov)
         assert report.chaotic is False
 
-    def test_too_few_state_vectors_report_non_chaotic(self):
-        # 25 points at tau 1, m 8 give 18 state vectors, below Rosenstein's 20
-        with pytest.warns(UserWarning, match="divergence tracking failed .need at least 20"):
-            report = analyze(TimeSeries(values=logistic_map(25)), AnalyzeOptions(tau=1, m=8))
+    # n points at tau 1, m 8 give n - 7 state vectors, below Rosenstein's 20;
+    # one is the least that warns instead of raising
+    @pytest.mark.parametrize("n", [25, 8])
+    def test_too_few_state_vectors_report_non_chaotic(self, n):
+        match = f"divergence tracking failed .need at least 20 state vectors, got {n - 7} "
+        with pytest.warns(UserWarning, match=match):
+            report = analyze(TimeSeries(values=logistic_map(n)), AnalyzeOptions(tau=1, m=8))
         assert np.isnan(report.lyapunov) and report.divergence_curve is None
         assert report.chaotic is False
+
+    @pytest.mark.parametrize("n, tau, m", [(7, 1, 8), (14, 2, 8), (3, 3, 2)])
+    def test_no_state_vector_raises(self, n, tau, m):
+        # (m - 1) * tau >= n: the forced window is longer than the series
+        with pytest.raises(SeriesTooShortError, match="holds no state vector"):
+            analyze(TimeSeries(values=logistic_map(n)), AnalyzeOptions(tau=tau, m=m))
 
     def test_chaotic_flag_is_sign_of_exponent(self):
         report = analyze(TimeSeries(values=logistic_map(600)), AnalyzeOptions(tau=1, m=2))

@@ -115,6 +115,18 @@ def test_analyze_reports_null_lambda_below_20_state_vectors(tmp_path, capsys):
     assert "lambda=nan (not chaotic)" in capsys.readouterr().out
 
 
+def test_analyze_fails_when_tau_and_m_leave_no_state_vector(tmp_path, capsys):
+    # 7 points at tau 1, m 8 hold no state vector
+    short_csv = tmp_path / "short.csv"
+    write_series(TimeSeries(values=ar2_values(n=7)), short_csv)
+    out = tmp_path / "out"
+    rc = cli.main(["analyze", "--input", str(short_csv), "--tau", "1", "--m", "8",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "holds no state vector" in capsys.readouterr().err
+    assert not (out / "chaos.json").exists()
+
+
 def test_intervals_runs_and_reruns_identically(tmp_path, series_csv):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -2,6 +2,7 @@
 and the run loop's determinism and selection invariants."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +29,8 @@ from helpers import (
     crowding_distance,
     elitism_violations,
     reference_batches,
-    reference_mutation_variates,
     reference_polynomial_mutation,
     reference_sbx_crossover,
-    reference_sbx_variates,
     reference_select,
     same_bits,
     splitmix64_mix,
@@ -323,6 +322,37 @@ def generation_width(pop, n_vars):
     return 3 * pop + pop // 2 * (1 + 3 * n_vars) + pop * (1 + 2 * n_vars)
 
 
+def one_generation(params, pop, span, sbx=None, mutation=None):
+    """One generation's variates from ``nsga2._variates`` for a population
+    of ``pop`` rows in a box whose ranges are ``span``: the uniforms ``sbx``
+    and ``mutation`` sit in their places of the generation's block, and
+    every other place holds 0.25."""
+    n_vars = span.size
+    block = np.concatenate([
+        np.full(3 * pop, 0.25),
+        np.full(pop // 2 * (1 + 3 * n_vars), 0.25) if sbx is None else sbx,
+        np.full(pop * (1 + 2 * n_vars), 0.25) if mutation is None else mutation,
+    ])
+    params = replace(params, pop_size=pop, generations=1)
+    return next(nsga2._variates(FixedUniforms(block), params, span))
+
+
+def sbx_variates(pairs, span, params, rng):
+    """The engine's ``(cross, swap, plus, minus)`` for ``pairs`` row pairs,
+    from the next ``pairs * (1 + 3 * d)`` uniforms of the numpy ``rng``,
+    the ones ``reference_sbx_crossover`` draws in four calls."""
+    u = rng.random(pairs * (1 + 3 * span.size))
+    return one_generation(params, 2 * pairs, span, sbx=u)[2:6]
+
+
+def mutation_variates(k, span, params, rng):
+    """The engine's ``(mutate, step)`` for ``k`` rows, from the next
+    ``k * (1 + 2 * d)`` uniforms of the numpy ``rng``, the ones
+    ``reference_polynomial_mutation`` draws in three calls."""
+    u = rng.random(k * (1 + 2 * span.size))
+    return one_generation(params, k, span, mutation=u)[6:]
+
+
 def params_for(n_vars, **kw):
     defaults = dict(pop_size=20, generations=10)
     defaults.update(kw)
@@ -334,7 +364,7 @@ def test_sbx_identical_parents_are_fixed_points():
     P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *reference_sbx_variates(50, 3, params, rng))
+    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *sbx_variates(50, hi - lo, params, rng))
     assert np.array_equal(C1, P) and np.array_equal(C2, P)
 
 
@@ -343,7 +373,7 @@ def test_sbx_zero_probability_returns_copies():
     P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
     params = params_for(1, crossover_prob=0.0)
     lo, hi = np.zeros(1), np.ones(1)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(5, 1, params, rng))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(5, hi - lo, params, rng))
     assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
     C1[0, 0] = 99.0
     assert P1[0, 0] == 0.2  # children are copies, not views
@@ -355,7 +385,7 @@ def test_sbx_preserves_pair_mean_inside_wide_box():
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
     rng = np.random.default_rng(0)
     params = params_for(2, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(200, 2, params, rng))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(200, hi - lo, params, rng))
     assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
 
 
@@ -366,7 +396,7 @@ def test_sbx_offspring_order_is_randomized():
     lo, hi = np.zeros(1), np.ones(1)
     rng = np.random.default_rng(0)
     params = params_for(1, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(100, 1, params, rng))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(100, hi - lo, params, rng))
     moved = C1[:, 0] != 0.3
     assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
@@ -379,7 +409,7 @@ def test_sbx_respects_bounds(seed):
     P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
     params = params_for(3, crossover_prob=1.0)
     lo, hi = np.zeros(3), np.ones(3)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(8, 3, params, rng))
+    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(8, hi - lo, params, rng))
     for C in (C1, C2):
         assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
@@ -389,7 +419,7 @@ def test_mutation_zero_rate_is_identity():
     X = np.full((6, 2), 0.5)
     params = params_for(2, mutation_prob_per_var=0.0)
     lo, hi = np.zeros(2), np.ones(2)
-    Y = polynomial_mutation(X, lo, hi, *reference_mutation_variates(*X.shape, hi - lo, params, rng))
+    Y = polynomial_mutation(X, lo, hi, *mutation_variates(len(X), hi - lo, params, rng))
     assert np.array_equal(Y, X)
     Y[0, 0] = 9.0
     assert X[0, 0] == 0.5
@@ -402,7 +432,7 @@ def test_mutation_respects_bounds(seed):
     X = np.tile([0.0, 1.0, 0.5], (8, 1))
     params = params_for(3, mutation_prob_per_var=1.0)
     lo, hi = np.zeros(3), np.ones(3)
-    Y = polynomial_mutation(X, lo, hi, *reference_mutation_variates(*X.shape, hi - lo, params, rng))
+    Y = polynomial_mutation(X, lo, hi, *mutation_variates(len(X), hi - lo, params, rng))
     assert np.all(Y >= 0.0) and np.all(Y <= 1.0)
 
 
@@ -413,7 +443,7 @@ def test_mutation_spread_shrinks_with_eta():
     def mean_move(eta):
         rng = np.random.default_rng(0)
         params = params_for(1, mutation_prob_per_var=1.0, mutation_eta=eta)
-        variates = reference_mutation_variates(*X.shape, hi - lo, params, rng)
+        variates = mutation_variates(len(X), hi - lo, params, rng)
         Y = polynomial_mutation(X, lo, hi, *variates)
         return np.mean(np.abs(Y - 0.5))
 
@@ -439,28 +469,33 @@ BOXES = [(0.0, 1.0), (-1.0, 1.0), (-0.0, 0.5), (-1.0, -0.0)]
 @pytest.mark.parametrize("eta", [1.0, 15.0])
 @pytest.mark.parametrize("box", BOXES)
 def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
+    """SBX on the variates ``nsga2._variates`` makes from a generation's
+    uniforms equals the reference's plain expressions on the same uniforms."""
     params = params_for(3, crossover_prob=crossover_prob, crossover_eta=eta)
     lo, hi = np.full(3, box[0]), np.full(3, box[1])
     for seed in range(10):
         P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
         P2[:4] = P1[:4]  # equal parents
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx_crossover(P1, P2, lo, hi, *reference_sbx_variates(12, 3, params, rng))
+        got = sbx_crossover(P1, P2, lo, hi, *sbx_variates(12, hi - lo, params, rng))
         want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws
+        # the reference draws as many uniforms as the engine's SBX section holds
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("rate", [0.0, None, 1.0])
 @pytest.mark.parametrize("eta", [1.0, 20.0])
 @pytest.mark.parametrize("box", BOXES)
 def test_mutation_matches_reference_bit_for_bit(rate, eta, box):
+    """Mutation on the variates ``nsga2._variates`` makes from a
+    generation's uniforms equals the reference's on the same uniforms."""
     params = params_for(3, mutation_prob_per_var=rate, mutation_eta=eta)
     lo, hi = np.full(3, box[0]), np.full(3, box[1])
     for seed in range(10):
         X = edge_cells(seed, (24, 3))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        variates = reference_mutation_variates(*X.shape, hi - lo, params, rng)
+        variates = mutation_variates(len(X), hi - lo, params, rng)
         got = polynomial_mutation(X, lo, hi, *variates)
         assert same_bits(got, reference_polynomial_mutation(X, lo, hi, params, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state

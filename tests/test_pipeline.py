@@ -849,6 +849,13 @@ class TestExperiment:
         with pytest.raises(SeriesTooShortError, match="cannot support Cao's method"):
             run_experiment(short, config, [0, 1])
 
+    def test_a_window_longer_than_the_training_segment_fails_the_whole_run(self):
+        # 5 training points hold no state vector at tau 1, m 8
+        short = TimeSeries(values=ar2_values(n=30, seed=8))
+        config = small_config(test_horizon=25, chaos=AnalyzeOptions(tau=1, m=8))
+        with pytest.raises(SeriesTooShortError, match="holds no state vector"):
+            run_experiment(short, config, [0, 1])
+
     def test_a_training_segment_too_short_for_the_exponent_fails_each_seed(self):
         # 5 training points hold fewer than the exponent's 20 state vectors,
         # and fewer than stage 2's rows
