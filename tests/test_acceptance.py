@@ -8,6 +8,7 @@ skipped unless ``CHAOSPI_CPI_DIR`` points at the three series files.
 import json
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -334,7 +335,7 @@ def read_tree(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = pathlib.Path(path).read_bytes()
     return out
 
 

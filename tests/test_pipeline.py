@@ -366,9 +366,57 @@ def test_batched_stage3_objective_is_bit_identical_to_per_vector_values(
     got = problem.evaluate(V)
     assert got.shape == (len(V), 2)
     for v, f in zip(V, got):
-        r1, r2 = float(v[0]), float(v[-1])
-        lower, upper = pred - r1 * sigma, pred + r2 * sigma
-        assert (f[0], f[1]) == (-picp(actual, lower, upper), piaw(lower, upper))
+        assert_stage3_row(actual, pred, sigma, v, f)
+
+
+def assert_stage3_row(actual, pred, sigma, v, f):
+    """One stage-3 objective row ``f`` against the metrics on the rounded
+    bounds ``lo = p - R1``, ``hi = p + R2`` (``R1 = r1*sigma``,
+    ``R2 = r2*sigma``) of its multiplier row ``v``.
+
+    -PICP is ``metrics.picp`` on them bit for bit. PIAW is the exact width
+    ``W = R1 + R2``, within ``(2n + 5)`` ulps of A, the largest ``|lo|``,
+    ``|hi|``, of ``metrics.piaw`` on them, for n < 2**20 points. A rounded
+    result is within half its own ulp of the exact one. So each bound is
+    within ulp(A)/2 of ``p -/+ R``, and each width ``w = hi - lo <= 2A``
+    within ulp(2A)/2 = ulp(A) of the exact difference: within 2 ulp(A) of
+    ``R1 + R2``. Summing n widths in any order errs by at most
+    ``(n-1)u/(1-(n-1)u) * 2nA`` (u = 2**-53, and u*A < ulp(A)); divided by
+    n, less than ``(2n - 1)`` ulp(A). The division and W's own rounding, both
+    of values below 4A, add at most 2 ulp(A) each.
+    """
+    r1, r2 = float(v[0]), float(v[-1])
+    lower, upper = pred - r1 * sigma, pred + r2 * sigma
+    assert f[0] == -picp(actual, lower, upper)
+    assert f[1] == r1 * sigma + r2 * sigma
+    if sigma == 0.0:
+        assert f[1] == 0.0 == piaw(lower, upper)
+    big = max(np.abs(lower).max(), np.abs(upper).max())
+    assert abs(f[1] - piaw(lower, upper)) <= (2 * pred.size + 5) * np.spacing(big)
+
+
+def _values(n):
+    return st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+
+
+# (actual, predicted) pairs of one length
+_STAGE3_POINTS = st.integers(1, 40).flatmap(lambda n: st.tuples(_values(n), _values(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=_STAGE3_POINTS,
+    sigma=st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1e3),
+    rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    variant=st.sampled_from(["single", "dual"]),
+)
+def test_stage3_objective_rows_hold_for_any_points(points, sigma, rows, variant):
+    actual, pred = (np.array(side) for side in points)
+    with pytest.MonkeyPatch.context() as mp:
+        problem = captured_problem(mp, fit_stage3, actual, pred, sigma, variant, SMALL_STAGE3, 0)
+    V = np.clip(np.array(rows)[:, : problem.lower.size], problem.lower, problem.upper)
+    for v, f in zip(V, problem.evaluate(V)):
+        assert_stage3_row(actual, pred, sigma, v, f)
 
 
 def threshold_inputs(kind):
@@ -512,10 +560,10 @@ PINNED_STAGE3_X = [
     [0.17444074521193417, 0.5011510627040195],
 ]
 PINNED_STAGE3_F = [
-    [-0.075, 2.0000000000421957e-06], [-0.075, 2.0000000000421957e-06], [-1.0, 1.029176784579548],
-    [-0.8, 0.8590752295606994], [-0.35, 0.3222657534877258], [-0.175, 0.1253196480345741],
-    [-0.45, 0.4172412852557965], [-0.25, 0.21096009034872049], [-0.55, 0.5015772097532046],
-    [-0.725, 0.7063954792518526], [-0.625, 0.6095331400406687], [-0.65, 0.6755918079159537],
+    [-0.075, 2e-06], [-0.075, 2e-06], [-1.0, 1.029176784579548],
+    [-0.8, 0.8590752295606993], [-0.35, 0.32226575348772574], [-0.175, 0.1253196480345741],
+    [-0.45, 0.4172412852557965], [-0.25, 0.2109600903487205], [-0.55, 0.5015772097532046],
+    [-0.725, 0.7063954792518526], [-0.625, 0.6095331400406686], [-0.65, 0.6755918079159537],
 ]
 
 
