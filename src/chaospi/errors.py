@@ -13,8 +13,16 @@ import numbers
 
 def is_number(value: object, kind: type = numbers.Real) -> bool:
     """Whether ``value`` is an instance of ``kind``, ``numbers.Integral`` or
-    ``numbers.Real`` (numpy scalars included); a bool is neither."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    ``numbers.Real`` (numpy scalars included); a bool is neither, and a real
+    must convert to a float (an integer beyond float's range does not)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    if kind is numbers.Real:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 class ChaospiError(Exception):

@@ -90,20 +90,16 @@ class Uniforms:
         if not (is_number(seed, numbers.Integral) and 0 <= seed <= _M64):
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self.key, self.drawn = mix64(int(seed)), 0
-        self._steps = self._z = self._t = np.empty(0, dtype=np.uint64)
 
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms, as a new float array."""
-        if n > self._steps.size:  # the buffers grow to the largest block drawn
-            self._steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-            self._z, self._t = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
-        z, t = self._z[:n], self._t[:n]
-        np.add(self._steps[:n], np.uint64((self.key + self.drawn * _GOLDEN) & _M64), out=z)
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z += np.uint64((self.key + self.drawn * _GOLDEN) & _M64)
         self.drawn += n
         for shift, mul in _U64_ROUNDS:
-            z ^= np.right_shift(z, shift, out=t)
+            z ^= z >> shift
             z *= mul
-        z ^= np.right_shift(z, _U64_31, out=t)
+        z ^= z >> _U64_31
         z >>= _U64_11
         return z * 2.0**-53
 

@@ -382,10 +382,8 @@ def _coverage_thresholds(
     forecast is covered by every finite reach, and a NaN point by none.
     Rounding is monotone, so each test flips once as ``t`` grows; a
     bisection on the int64 images of the non-negative floats, which sort as
-    the floats do, finds where. It starts from a bracket a few ulps around
-    the rounded gap ``p - a``, and from the whole range at an end that fails
-    its check. A point below a forecast of +inf, which no reach covers, gets
-    a NaN threshold: it sorts last and is never counted.
+    the floats do, finds where. A point below a forecast of +inf, which no
+    reach covers, gets a NaN threshold: it sorts last and is never counted.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -396,19 +394,10 @@ def _coverage_thresholds(
     below, above = actual < predicted, actual > predicted
     a = np.concatenate([actual[below], -actual[above]])
     p = np.concatenate([predicted[below], -predicted[above]])
-    # p - t may round to -inf; an infinite a or gap has a NaN ulp
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The float after x >= 0 has the next int64 image, so these are
-        # np.nextafter(gap, inf) and the ulps of |a| and of the gap, without
-        # the two ufuncs' extra 0.1 MB of resident code per process.
-        gap = p - a
-        top = (gap.view(np.int64) + 1).view(np.float64)
-        size = np.abs(a)
-        ulp = np.maximum((size.view(np.int64) + 1).view(np.float64) - size, top - gap)
-        bottom = gap - 2.0 * ulp
-        hi = np.where(a >= p - top, top.view(np.int64), _INF_BITS)
-        # -1 lies just below the image of +0.0
-        lo = np.where((bottom >= 0.0) & ~(a >= p - bottom), bottom.view(np.int64), -1)
+    # -1 lies just below the image of +0.0
+    lo = np.full(a.size, -1, dtype=np.int64)
+    hi = np.full(a.size, _INF_BITS, dtype=np.int64)
+    with np.errstate(over="ignore"):  # p - t may round to -inf
         while (hi - lo > 1).any():
             mid = lo + (hi - lo) // 2  # (lo + hi) // 2 would overflow
             hit = a >= p - mid.view(np.float64)

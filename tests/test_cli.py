@@ -419,6 +419,10 @@ def test_config_file_validation(tmp_path, series_csv, capsys):
         {"seed_count": "x"},
         {"test_horizon": 2.7},
         {"standardize": "no"},
+        # json.load reads a 401-digit integer as an int, which no float holds
+        {"picp_target": 10**400},
+        {"chaos": {"cao_threshold": 10**400}},
+        {"stage3": {"crossover_eta": 10**400}},
     ],
 )
 def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
@@ -427,7 +431,9 @@ def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
     rc = cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
                    "--config", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    (key, value), = config.items()
+    name = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
 @pytest.mark.parametrize("workers", [0, -3])

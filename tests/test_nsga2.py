@@ -641,6 +641,7 @@ def test_params_validation():
         ("crossover_prob", None),
         ("crossover_prob", True),
         ("crossover_eta", "15"),
+        pytest.param("crossover_eta", 10**400, id="crossover_eta-10**400"),  # no float holds it
         ("mutation_prob", None),
         ("mutation_prob", False),
         ("mutation_prob_per_var", True),
