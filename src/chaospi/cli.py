@@ -181,7 +181,8 @@ def _load_config_file(path: str | None) -> dict:
             raw = json.load(fh)
         except UnicodeDecodeError:
             raise ConfigError(f"config file {path} is not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, an integer too long to convert, or too deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -267,7 +268,11 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, PipelineConfig]:
     if setup["seeds"] is None:
         if setup["seed_count"] < 1:
             raise ConfigError("seed_count must be >= 1")
-        setup["seeds"] = list(range(setup["seed_base"], setup["seed_base"] + setup["seed_count"]))
+        seeds = range(setup["seed_base"], setup["seed_base"] + setup["seed_count"])
+        # the ends first: a range that leaves the seed domain may be too long to list
+        for seed in (seeds[0], seeds[-1]):
+            pipeline._run_seed(seed)
+        setup["seeds"] = list(seeds)
     if not setup["seeds"]:
         raise ConfigError("seed list is empty")
     return setup, config
@@ -443,6 +448,8 @@ def _read_front(path: str) -> np.ndarray:
             rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     except UnicodeDecodeError:
         raise EmptyFrontError(f"{path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise EmptyFrontError(f"{path} is not a readable CSV: {exc}") from None
     if len(rows) < 2 or rows[0][:2] != ["f1", "f2"]:
         raise EmptyFrontError(f"{path} is not a front CSV (expected f1,f2 header)")
     try:

@@ -340,17 +340,11 @@ def grid_search_r(
     and one on it is always covered. So each r1 needs just the least r2
     that reaches the coverage count sought.
     """
-    below, above, on = _coverage_thresholds(actual, predicted, sigma)
     if not _MIN_GRID_STEP <= grid_step < 0.5:
         raise ConfigError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.5)")
     if not 0.0 < picp_target <= 1.0:
         raise ConfigError("picp_target must lie in (0, 1]")
-    if sigma == 0.0:
-        warnings.warn(
-            "training predictions are constant; intervals collapse to zero width",
-            DegenerateTrainingWarning,
-            stacklevel=2,
-        )
+    below, above, on = _coverage_thresholds(actual, predicted, sigma)
 
     count = int(math.floor((1.0 - grid_step) / grid_step + 1e-9))
     rs = grid_step * np.arange(1, count + 1)
@@ -373,7 +367,9 @@ def _coverage_thresholds(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sorted coverage thresholds of the points below and above their
     forecasts, and the count of points on them; the one coverage count of
-    both interval stages, which also checks their shared inputs.
+    both interval stages, which also checks their shared inputs and warns
+    (``DegenerateTrainingWarning``) when ``sigma`` is 0 or the predictions
+    are all equal.
 
     The interval ``[p - t1, p + t2]`` covers a point below its forecast
     exactly when ``t1`` reaches its threshold, the least float ``t >= 0``
@@ -391,6 +387,13 @@ def _coverage_thresholds(
         raise DimensionMismatchError("actual and predicted must be matching 1-d arrays")
     if not sigma >= 0.0:
         raise ConfigError("sigma must be non-negative")
+    # np.std of equal predictions may leave rounding residue, not 0
+    if sigma == 0.0 or (predicted.size > 1 and (predicted == predicted[0]).all()):
+        warnings.warn(
+            "training predictions are constant; intervals collapse to zero width",
+            DegenerateTrainingWarning,
+            stacklevel=3,
+        )
     below, above = actual < predicted, actual > predicted
     a = np.concatenate([actual[below], -actual[above]])
     p = np.concatenate([predicted[below], -predicted[above]])

@@ -19,6 +19,7 @@ import csv
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,23 +70,17 @@ class TimeSeries:
         return int(self.values.size)
 
 
-# Values per float64 block while loading: enough that a block's array header
-# is noise, few enough that the pending Python floats stay small. Blocks, not
-# an ``array('d')``: importing that extension module alone raises a command's
-# peak resident memory by about 0.2 MB.
-_BLOCK = 1024
-
-
 def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSeries:
     """Read a univariate series from a CSV file.
 
-    Rows stream from ``csv.reader``: values collect in float64 blocks of
-    ``_BLOCK`` as their rows arrive, so loading keeps about 8 bytes per
-    value, plus the labels. Blank and whitespace-only lines are skipped. A
-    file with several faults raises the one that wins in this order:
-    undecodable bytes, ragged rows, header and column faults, no data rows,
-    then the first bad value cell, so a fault is raised only once the whole
-    file is read. Row errors name the file line on which the offending record
+    Rows stream from ``csv.reader`` straight into one float64 array
+    (``np.fromiter``), so loading keeps about 8 bytes per value, plus the
+    labels. Blank and whitespace-only lines are skipped. A file with several
+    faults raises the one that wins in this order: undecodable bytes or a
+    cell ``csv`` cannot read (such as one over its field size limit), where
+    reading stops; then ragged rows, header and column faults, no data rows,
+    and the first bad value cell, which are raised only once the whole file
+    is read. Row errors name the file line on which the offending record
     ends.
 
     Args:
@@ -100,18 +95,25 @@ def load_series(path: str | os.PathLike, column: str | None = None) -> TimeSerie
     path = os.fspath(path)
     if not os.path.exists(path):
         raise MissingFileError(f"no such file: {path}")
+    labels: list[str] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            values, labels = _read_rows(csv.reader(fh), column, path)
+            reader = csv.reader(fh)
+            values = np.fromiter(_read_rows(reader, column, labels), dtype=float)
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", row=reader.line_num) from None
+    if not values.size:
+        raise EmptySeriesError(f"no data rows in {path}")
     if values.size < 2:
         raise SeriesTooShortError("a series needs at least two observations")
-    return TimeSeries(values, labels)
+    return TimeSeries(values, labels or None)
 
 
-def _read_rows(reader, column: str | None, path: str) -> tuple[np.ndarray, list[str] | None]:
-    """Values and labels of the non-blank rows of ``reader``.
+def _read_rows(reader, column: str | None, labels: list[str]) -> Iterator[float]:
+    """The values of the non-blank data rows of ``reader``; each one's label
+    goes onto ``labels`` when the rows have more than one column.
 
     A fault found on the way is kept, not raised, until every row is read,
     so that an undecodable byte or a ragged row further on still wins.
@@ -119,7 +121,7 @@ def _read_rows(reader, column: str | None, path: str) -> tuple[np.ndarray, list[
     rows = (row for row in reader if row and any(cell.strip() for cell in row))
     head = next(rows, None)
     if head is None:
-        raise EmptySeriesError(f"no data rows in {path}")
+        return
     width = len(head)
     # Header detection: if the candidate value cell of row 1 (the last one)
     # is not a float, row 1 is a header.
@@ -136,13 +138,10 @@ def _read_rows(reader, column: str | None, path: str) -> tuple[np.ndarray, list[
     elif width > 2:
         fault = ParseError("files wider than two columns need an explicit column name")
 
-    blocks: list[np.ndarray] = []
-    block: list[float] = []
-    labels: list[str] | None = [] if width > 1 else None
     for row in rows if has_header else itertools.chain([head], rows):
         if len(row) != width:
             fault = ParseError("inconsistent column count across rows")
-            break
+            continue
         if fault is not None:
             continue
         cell = row[value_idx].strip()
@@ -157,20 +156,11 @@ def _read_rows(reader, column: str | None, path: str) -> tuple[np.ndarray, list[
         if not math.isfinite(v):
             fault = NonFiniteValueError(f"non-finite value: {cell!r}", row=reader.line_num)
             continue
-        block.append(v)
-        if len(block) == _BLOCK:
-            blocks.append(np.array(block))
-            block.clear()
-        if labels is not None:
+        if width > 1:
             labels.append(row[0].strip())
-    for _ in reader:  # a later undecodable byte still wins over the fault
-        pass
+        yield v
     if fault is not None:
         raise fault
-    values = np.concatenate([*blocks, np.array(block, dtype=float)])
-    if not values.size:
-        raise EmptySeriesError(f"no data rows in {path}")
-    return values, labels
 
 
 def _is_float(cell: str) -> bool:

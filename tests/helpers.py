@@ -97,6 +97,8 @@ def reference_load_series(path, column=None):
             ]
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", row=reader.line_num) from None
     if not rows:
         raise EmptySeriesError(f"no data rows in {path}")
 

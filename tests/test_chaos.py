@@ -185,6 +185,15 @@ class TestLyapunov:
             lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), fit_stop=500)
         with pytest.raises(ConfigError, match=r"k_max must lie in \[1, 298\], got 299"):
             lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), k_max=299)
+        with pytest.raises(ConfigError, match="theiler_window must be >= 0"):
+            lyapunov_rosenstein(x, EmbeddingParams(tau=1, m=2), theiler_window=-1)
+
+    def test_pairs_that_die_at_once_leave_too_few_fit_points(self):
+        # 20 vectors and a band of 18 leave only the pair (0, 19), which
+        # runs off the data after k = 0
+        with pytest.raises(NoValidPairsError, match="fewer than two usable points"):
+            lyapunov_rosenstein(np.arange(20.0) ** 1.5, EmbeddingParams(tau=1, m=1),
+                                theiler_window=18)
 
 
 class TestCao:
@@ -219,6 +228,8 @@ class TestCao:
             cao_min_dimension(x, tau=0)
         with pytest.raises(ConfigError):
             cao_min_dimension(x, tau=1, threshold=0.0)
+        with pytest.raises(ConfigError, match="max_dim must be >= 1, got 0"):
+            cao_min_dimension(x, tau=1, max_dim=0)
         with pytest.raises(SeriesTooShortError):
             cao_min_dimension(x, tau=10, max_dim=12)
 

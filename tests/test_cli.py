@@ -238,6 +238,34 @@ def test_eaf_command_needs_front_files(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "front, message",
+    [
+        (None, "not a directory"),
+        (b"\xff", "is not UTF-8 text"),
+        (b"a,b\n1,2\n", "expected f1,f2 header"),
+        # csv.reader stops at a field over its limit (131 072 characters by default)
+        (b"f1,f2\n" + b"1" * (csv.field_size_limit() + 1) + b",2\n", "not a readable CSV"),
+    ],
+    ids=["input_is_a_file", "not_utf8", "no_header", "cell_over_the_csv_limit"],
+)
+def test_eaf_input_faults_exit_one(tmp_path, capsys, front, message):
+    if front is None:
+        given = tmp_path / "seed_0.csv"
+        given.write_text("f1,f2\n0.1,0.9\n")
+    else:
+        given = tmp_path / "exp"
+        (given / "fronts").mkdir(parents=True)
+        (given / "fronts" / "seed_0.csv").write_bytes(front)
+    out = tmp_path / "out"
+    assert cli.main(["eaf", "--input", str(given), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    if front is not None:
+        assert str(given / "fronts" / "seed_0.csv") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text, rc",
     [
         ("f1,f2\n0.1,0.9\n0.5,0.4\n\n", 0),
@@ -434,6 +462,38 @@ def test_mistyped_config_values_exit_one(tmp_path, series_csv, capsys, config):
     (key, value), = config.items()
     name = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
     assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        (None, [], "config file not found"),
+        ('{"tau": 1}'.encode("utf-16"), [], "is not UTF-8 text"),
+        # past Python's 4 300-digit limit for converting an integer string
+        (b'{"picp_target": ' + b"9" * 5000 + b"}", [], "is not valid JSON"),
+        (b"[" * 100_000, [], "is not valid JSON"),  # deeper than the decoder recurses
+        (b'{"seed_count": 0}', [], "seed_count must be >= 1"),
+        (b"{}", ["--seeds", ""], "seed list is empty"),
+        # seed ranges that leave [0, 2**63) and are too long to list
+        (json.dumps({"seed_count": 2**64}).encode(), [],
+         f"run seeds must be below 2**63, got {2**64 - 1}"),
+        (json.dumps({"seed_base": -10**30, "seed_count": 10**30 + 5}).encode(), [],
+         f"run seeds must be non-negative, got {-10**30}"),
+    ],
+    ids=["missing", "not_utf8", "long_integer", "deep_nesting", "seed_count_0",
+         "empty_seed_flag", "seed_count_2_64", "seed_base_far_below_0"],
+)
+def test_config_file_faults_exit_one(tmp_path, series_csv, capsys, config, flags, message):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_bytes(config)
+    out = tmp_path / "out"
+    rc = cli.main(["analyze", "--input", str(series_csv), "--tau", "1", "--m", "2",
+                   "--config", str(path), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -872,88 +932,46 @@ def test_fuzzed_config_exits_cleanly(fuzz_csv, command, drawn):
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-def test_experiment_does_not_import_numpy_ma(tmp_path, series_csv):
-    # np.unique imports numpy.ma on its first call (numpy 2.x), a cost the
-    # EAF sweep has no use for
-    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    if loaded.stdout.strip() != "False":
-        pytest.skip("importing numpy alone loads numpy.ma")
-    out = tmp_path / "out"
-    run = ("import sys; from chaospi import cli; rc = cli.main(sys.argv[1:]); "
-           "print('numpy.ma' in sys.modules); sys.exit(rc)")
-    proc = subprocess.run(
-        [sys.executable, "-c", run, "experiment", "--input", str(series_csv),
-         "--config", str(write_config(tmp_path)), "--seeds", "1,2", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in out.glob("eaf_*.csv"))
-    assert proc.stdout.splitlines()[-1] == "False"
+# Modules a command loads only when it needs them: np.unique's first call
+# imports numpy.ma (numpy 2.x), which the EAF sweep has no use for;
+# numpy.random pulls in secrets -> hmac -> OpenSSL, about 6 MB of peak RSS
+# and 14 ms of start-up, where the engine's SplitMix64 stream and the stage
+# seeds need only uint64 arithmetic; the pool module concurrent.futures pulls
+# in queues, a management thread, logging and traceback, about 1.3 MB; and
+# only an experiment on more than one worker needs multiprocessing.
+_GUARDED = ("numpy.ma", "numpy.random", "concurrent.futures", "multiprocessing")
+_PRINT_GUARDED = f"print(*[m for m in {_GUARDED!r} if m in sys.modules], sep=',')"
 
 
-@pytest.mark.parametrize("command", ["analyze", "intervals", "experiment"])
-def test_commands_do_not_import_numpy_random(tmp_path, command):
-    # numpy.random pulls in secrets -> hmac -> OpenSSL, about 6 MB of peak
-    # RSS and 14 ms of start-up; the engine's SplitMix64 stream and the
-    # stage seeds need only uint64 arithmetic
-    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    if loaded.stdout.strip() != "False":
-        pytest.skip("importing numpy alone loads numpy.random")
+@pytest.fixture(scope="module")
+def loaded_by_numpy():
+    probe = f"import sys, numpy; {_PRINT_GUARDED}"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    return set(filter(None, proc.stdout.strip().split(",")))
+
+
+@pytest.mark.parametrize(
+    "command, workers",
+    [("analyze", None), ("intervals", 1), ("experiment", 1), ("experiment", 2)],
+    ids=["analyze", "intervals", "experiment_serial", "experiment_two_workers"],
+)
+def test_commands_load_only_the_modules_they_need(tmp_path, loaded_by_numpy, command, workers):
     path = tmp_path / "logistic.csv"
     write_series(TimeSeries(values=logistic_map(300)), path)
-    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
-    if command != "analyze":
-        argv += ["--config", str(write_config(tmp_path, workers=1)), "--seeds", "1,2"]
-    run = ("import sys, chaospi, chaospi.cli; rc = chaospi.cli.main(sys.argv[1:]); "
-           "print('numpy.random' in sys.modules); sys.exit(rc)")
-    proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    written = {"analyze": "chaos.json", "intervals": "intervals.csv", "experiment": "report.json"}
-    assert (tmp_path / "out" / written[command]).exists()
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
-def test_parallel_experiment_does_not_import_concurrent_futures(tmp_path, series_csv):
-    # the pool module pulls in queues, a management thread, logging and
-    # traceback: about 1.3 MB of peak RSS in the measured process
-    probe = "import sys, numpy; print('concurrent.futures' in sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    if loaded.stdout.strip() != "False":
-        pytest.skip("importing numpy alone loads concurrent.futures")
-    # two usable CPUs, so the seeds run in worker processes on any machine
+    out = tmp_path / "out"
+    argv = [command, "--input", str(path), "--out", str(out)]
+    if workers is not None:
+        argv += ["--config", str(write_config(tmp_path, workers=workers)), "--seeds", "1,2"]
+    # two usable CPUs, so two workers run the seeds in worker processes on any machine
     run = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
            "from chaospi import cli; rc = cli.main(sys.argv[1:]); "
-           "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules); "
-           "sys.exit(rc)")
-    proc = subprocess.run(
-        [sys.executable, "-c", run, "experiment", "--input", str(series_csv),
-         "--config", str(write_config(tmp_path, workers=2)), "--seeds", "1,2",
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True False"
-
-
-@pytest.mark.parametrize("command", ["analyze", "experiment"])
-def test_serial_commands_do_not_import_multiprocessing(tmp_path, command):
-    # only an experiment on more than one worker needs worker processes
-    probe = "import sys, numpy; print('multiprocessing' in sys.modules)"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    if loaded.stdout.strip() != "False":
-        pytest.skip("importing numpy alone loads multiprocessing")
-    path = tmp_path / "logistic.csv"
-    write_series(TimeSeries(values=logistic_map(300)), path)
-    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
-    if command == "experiment":
-        argv += ["--config", str(write_config(tmp_path, workers=1)), "--seeds", "1,2"]
-    run = ("import sys, chaospi, chaospi.cli; rc = chaospi.cli.main(sys.argv[1:]); "
-           "print('multiprocessing' in sys.modules); sys.exit(rc)")
+           f"{_PRINT_GUARDED}; sys.exit(rc)")
     proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / ("chaos.json" if command == "analyze" else "report.json")).exists()
-    assert proc.stdout.splitlines()[-1] == "False"
+    written = {"analyze": ["chaos.json"], "intervals": ["intervals.csv"],
+               "experiment": ["report.json", "eaf_best.csv", "eaf_median.csv", "eaf_worst.csv"]}
+    for name in written[command]:
+        assert (out / name).exists()
+    loaded = set(filter(None, proc.stdout.splitlines()[-1].split(",")))
+    expected = {"multiprocessing"} if workers == 2 else set()
+    assert loaded - loaded_by_numpy == expected - loaded_by_numpy

@@ -620,6 +620,8 @@ def test_params_validation():
         NsgaParams(generations=-1)
     with pytest.raises(ConfigError):
         NsgaParams(crossover_prob=1.5)
+    with pytest.raises(ConfigError, match="mutation_prob_per_var"):
+        NsgaParams(mutation_prob_per_var=1.5)
     with pytest.raises(ConfigError):
         NsgaParams(mutation_eta=0.0)
     for name in ("crossover_eta", "mutation_eta"):

@@ -272,10 +272,21 @@ def test_undecodable_byte_far_into_the_file_wins(tmp_path, fault):
         load_series(p)
 
 
+def test_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path):
+    # csv.reader stops at a field over its limit (131 072 characters by
+    # default), so this fault wins like an undecodable byte
+    p = tmp_path / "long_cell.csv"
+    p.write_text("value\n1\n2\n" + "3" * (csv.field_size_limit() + 1) + "\noops\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as info:
+        load_series(p)
+    assert info.value.row == 4
+
+
 @pytest.mark.parametrize("labelled", [False, True], ids=["value_only", "date_value"])
 def test_loading_keeps_about_8_bytes_per_value(tmp_path, labelled):
-    # a value-only load peaks at 32 bytes a row at most; a labelled one at 32
-    # a row above what the series it returns keeps, its labels included
+    # a value-only load peaks at 16 bytes a row at most (the series keeps
+    # 8); a labelled one at 8 a row above what the series it returns keeps,
+    # its labels included
     n = 50_000
     p = tmp_path / "long.csv"
     with open(p, "w") as fh:
@@ -293,7 +304,7 @@ def test_loading_keeps_about_8_bytes_per_value(tmp_path, labelled):
     assert same_bits(series.values, [i * 0.001 for i in range(n)])
     if labelled:
         assert series.labels == [f"2020-{i:06d}" for i in range(n)]
-        assert (peak - kept) / n <= 32
+        assert (peak - kept) / n <= 8
     else:
         assert series.labels is None
-        assert peak / n <= 32
+        assert peak / n <= 16
