@@ -328,12 +328,14 @@ def lyapunov_rosenstein(
 
     vecs = _delay_matrix(x, tau, m)
     divergence = np.full(k_max + 1, np.nan)
-    for k in range(k_max + 1):
-        alive = (base + k < n_vec) & (mates + k < n_vec)
-        if not np.any(alive):
-            break
-        diff = vecs[base[alive] + k] - vecs[mates[alive] + k]
-        d = np.sqrt(np.sum(diff * diff, axis=1))
+    # the last k at which each pair still has both vectors
+    last = n_vec - 1 - np.maximum(base, mates)
+    for k in range(min(k_max, int(last.max())) + 1):
+        alive = last >= k
+        diff = vecs.take(base[alive] + k, axis=0)
+        diff -= vecs.take(mates[alive] + k, axis=0)
+        diff *= diff
+        d = np.sqrt(np.sum(diff, axis=1))
         d = d[d > 0.0]
         if d.size:
             divergence[k] = float(np.mean(np.log(d)))

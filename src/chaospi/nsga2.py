@@ -11,8 +11,9 @@ from that same sort.
 The population is held as arrays: decision vectors ``X`` of shape
 ``(pop, d)`` and objectives ``F`` of shape ``(pop, 2)``, with rank and
 crowding distance as per-row arrays alongside. A generation is a handful of
-array operations: all tournaments at once, SBX over all pairs, mutation
-over all children, one batched evaluation, and survivor selection by row
+array operations: all tournaments at once, SBX making all children as one
+array, each row crossed with its partner half a population away, mutation
+over that array, one batched evaluation, and survivor selection by row
 indices into the merged parents + offspring arrays. The operators are pure
 functions of the population and of variates that do not depend on it:
 tournament contenders and coins, SBX's masks and weights, mutation's mask
@@ -188,7 +189,7 @@ def _sorted_groups(objs: np.ndarray) -> tuple[np.ndarray, ...]:
     position, the first sorted position of its group of equal points.
     """
     order = np.lexsort((objs[:, 1], objs[:, 0]))
-    f1, f2 = objs[order, 0], objs[order, 1]
+    f1, f2 = objs.take(order, axis=0).T
     head = np.arange(order.size)
     head[1:][(f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])] = 0
     np.maximum.accumulate(head, out=head)
@@ -296,41 +297,38 @@ def tournament_select(
 
 
 def sbx_crossover(
-    P1: np.ndarray,
-    P2: np.ndarray,
+    P: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     cross: np.ndarray,
-    swap: np.ndarray,
-    plus: np.ndarray,
-    minus: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover of the row pairs of two ``(pairs, n_vars)``
-    arrays.
+    own: np.ndarray,
+    other: np.ndarray,
+) -> np.ndarray:
+    """Simulated binary crossover of the rows of a ``(pop, n_vars)`` array,
+    row r paired with row r +- pop/2: one child per row, stacked as ``P``.
 
-    The variates are ``(pairs, n_vars)`` arrays. ``cross`` marks the
-    variables that take part: their pair is crossed, with probability
-    ``crossover_prob``, and inside it each variable takes part with
-    probability 0.5. ``plus`` and ``minus`` are ``1 + beta`` and
+    The variates have the shape of ``P`` and are equal in the two rows of
+    a pair. ``cross`` marks the variables that take part: their pair is
+    crossed, with probability ``crossover_prob``, and inside it each
+    variable takes part with probability 0.5. A child is
+    ``0.5 * (own * p + other * q)`` for its own parent value p and its
+    partner's q, where ``own`` and ``other`` are ``1 + beta`` and
     ``1 - beta`` for the spread factor ``beta`` of distribution index
-    ``crossover_eta``, and ``swap`` assigns the two offspring values to the
-    children in random order, as in Deb's reference implementation (the
-    swap is what lets good coordinates recombine across the pair). Parent
-    values closer than ``_SBX_EPS`` do not cross. Children are
-    mean-preserving before the final clip to the box; they are new arrays,
-    never views of the parents.
+    ``crossover_eta``, in a random order per pair: the child swap of Deb's
+    reference implementation, which lets good coordinates recombine across
+    the pair. Parent values closer than ``_SBX_EPS`` do not cross. A pair's
+    children are mean-preserving before the final clip to the box; they
+    are a new array, never a view of the parents.
     """
-    active = cross & (np.abs(P1 - P2) > _SBX_EPS)
-    lo = plus * P1
-    lo += minus * P2
-    lo *= 0.5
-    hi = minus * P1
-    hi += plus * P2
-    hi *= 0.5
-    C1 = np.where(active, np.where(swap, hi, lo), P1)
-    C2 = np.where(active, np.where(swap, lo, hi), P2)
+    # the partner rows: the second half of the parents, then the first
+    Q = P.reshape(2, -1, P.shape[1])[::-1].reshape(P.shape)
+    active = cross & (np.abs(P - Q) > _SBX_EPS)
+    C = own * P
+    C += other * Q
+    C *= 0.5
+    C = np.where(active, C, P)
     # the method runs np.clip's ufunc without np.clip's Python wrapper
-    return C1.clip(lower, upper, out=C1), C2.clip(lower, upper, out=C2)
+    return C.clip(lower, upper, out=C)
 
 
 def polynomial_mutation(
@@ -355,8 +353,8 @@ def polynomial_mutation(
 
 def _variates(uniforms: Uniforms, params: NsgaParams, span: np.ndarray):
     """Yield each generation's variates, drawn as the module docstring says,
-    in the order ``contenders, coins, cross, swap, plus, minus, mutate,
-    step`` (see :func:`tournament_select`, :func:`sbx_crossover` and
+    in the order ``contenders, coins, cross, own, other, mutate, step``
+    (see :func:`tournament_select`, :func:`sbx_crossover` and
     :func:`polynomial_mutation`); ``span`` is ``upper - lower``.
 
     Each block of generations is one draw and one set of array operations;
@@ -386,6 +384,10 @@ def _variates(uniforms: Uniforms, params: NsgaParams, span: np.ndarray):
         beta **= 1.0 / (params.crossover_eta + 1.0)
         plus = 1.0 + beta  # each weight formed once
         minus = np.subtract(1.0, beta, out=beta)
+        # the pair's child order sets each child's own and partner weights
+        swap = swap < 0.5
+        own, other = np.where(swap, minus, plus), np.where(swap, plus, minus)
+        cross, own, other = (np.concatenate((a, a), axis=1) for a in (cross, own, other))
         # mutation: per row a gate, then per variable a gate and a step
         gate, perturb = u[:, mid + pop :].reshape(gens, 2, pop, n_vars).swapaxes(0, 1)
         mutate = (u[:, mid : mid + pop, None] < params.mutation_prob) & (gate < rate)
@@ -396,7 +398,7 @@ def _variates(uniforms: Uniforms, params: NsgaParams, span: np.ndarray):
         delta **= 1.0 / (params.mutation_eta + 1.0)
         step = np.where(low, delta - 1.0, 1.0 - delta)
         step *= span
-        yield from zip(contenders, coins, cross, swap < 0.5, plus, minus, mutate, step)
+        yield from zip(contenders, coins, cross, own, other, mutate, step)
 
 
 def _evaluate(problem: Problem, X: np.ndarray) -> np.ndarray:
@@ -468,7 +470,6 @@ def run(
     """
     uniforms = Uniforms(seed)
     lower, upper = problem.lower, problem.upper
-    half = params.pop_size // 2
 
     u = uniforms.draw(params.pop_size * lower.size).reshape(params.pop_size, lower.size)
     X = lower + (upper - lower) * u
@@ -477,17 +478,14 @@ def run(
     # generation 0 only ranks the initial population
     for gen in range(params.generations + 1):
         if gen > 0:
-            contenders, coins, cross, swap, plus, minus, mutate, step = next(variates)
-            # the first half of the winners pairs with the second
-            X_par = X[tournament_select(rank, crowding, contenders, coins)]
-            C1, C2 = sbx_crossover(
-                X_par[:half], X_par[half:], lower, upper, cross, swap, plus, minus
-            )
-            offspring = polynomial_mutation(np.concatenate([C1, C2]), lower, upper, mutate, step)
+            contenders, coins, cross, own, other, mutate, step = next(variates)
+            parents = X.take(tournament_select(rank, crowding, contenders, coins), axis=0)
+            children = sbx_crossover(parents, lower, upper, cross, own, other)
+            offspring = polynomial_mutation(children, lower, upper, mutate, step)
             X = np.concatenate([X, offspring])
             F = np.concatenate([F, _evaluate(problem, offspring)])
         keep, rank, crowding = _select_next(F, params.pop_size)
-        X, F = X[keep], F[keep]
+        X, F = X.take(keep, axis=0), F.take(keep, axis=0)
         if on_generation is not None:
             on_generation(gen, F)
 

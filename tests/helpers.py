@@ -444,10 +444,12 @@ def dense_grid_search(actual, predicted, sigma, grid_step, picp_target):
 
 
 def reference_sbx_variates(pairs, n_vars, params, rng):
-    """``nsga2.sbx_crossover``'s ``(cross, swap, plus, minus)`` for ``pairs``
-    row pairs, written out from the next ``pairs * (1 + 3 * n_vars)``
-    uniforms of ``rng``: the crossing gates, then participation, the spread
-    factor and the child order, one array per call."""
+    """SBX's pair-level ``(cross, swap, plus, minus)`` for ``pairs`` row
+    pairs, which ``nsga2._variates`` folds into ``sbx_crossover``'s per-row
+    ``cross``, ``own`` and ``other``, written out from the next
+    ``pairs * (1 + 3 * n_vars)`` uniforms of ``rng``: the crossing gates,
+    then participation, the spread factor and the child order, one array
+    per call."""
     crossed = (rng.random(pairs) < params.crossover_prob)[:, None]
     cross = crossed & (rng.random((pairs, n_vars)) < 0.5)
     u = rng.random((pairs, n_vars))
@@ -458,7 +460,9 @@ def reference_sbx_variates(pairs, n_vars, params, rng):
 
 
 def reference_sbx_crossover(P1, P2, lower, upper, params, rng):
-    """``nsga2.sbx_crossover`` with every expression written out."""
+    """SBX of the row pairs ``(P1[r], P2[r])`` with every expression written
+    out: the children ``C1, C2`` whose stack ``[C1; C2]`` is what
+    ``nsga2.sbx_crossover`` makes of the parents ``[P1; P2]``."""
     cross, swap, plus, minus = reference_sbx_variates(*P1.shape, params, rng)
     active = cross & (np.abs(P1 - P2) > 1e-14)
     lo = 0.5 * (plus * P1 + minus * P2)

@@ -338,11 +338,19 @@ def one_generation(params, pop, span, sbx=None, mutation=None):
 
 
 def sbx_variates(pairs, span, params, rng):
-    """The engine's ``(cross, swap, plus, minus)`` for ``pairs`` row pairs,
-    from the next ``pairs * (1 + 3 * d)`` uniforms of the numpy ``rng``,
-    the ones ``reference_sbx_crossover`` draws in four calls."""
+    """The engine's ``(cross, own, other)`` for ``pairs`` row pairs, from
+    the next ``pairs * (1 + 3 * d)`` uniforms of the numpy ``rng``, the ones
+    ``reference_sbx_crossover`` draws in four calls."""
     u = rng.random(pairs * (1 + 3 * span.size))
-    return one_generation(params, 2 * pairs, span, sbx=u)[2:6]
+    return one_generation(params, 2 * pairs, span, sbx=u)[2:5]
+
+
+def stacked_sbx(P1, P2, lower, upper, params, rng):
+    """The engine's children of the pairs (P1[r], P2[r]), stacked as
+    ``[C1; C2]``: ``sbx_crossover`` of the parents ``[P1; P2]``."""
+    span = upper - lower
+    parents = np.concatenate([P1, P2])
+    return sbx_crossover(parents, lower, upper, *sbx_variates(len(P1), span, params, rng))
 
 
 def mutation_variates(k, span, params, rng):
@@ -350,7 +358,7 @@ def mutation_variates(k, span, params, rng):
     ``k * (1 + 2 * d)`` uniforms of the numpy ``rng``, the ones
     ``reference_polynomial_mutation`` draws in three calls."""
     u = rng.random(k * (1 + 2 * span.size))
-    return one_generation(params, k, span, mutation=u)[6:]
+    return one_generation(params, k, span, mutation=u)[5:]
 
 
 def params_for(n_vars, **kw):
@@ -364,19 +372,19 @@ def test_sbx_identical_parents_are_fixed_points():
     P = rng.uniform(0.0, 1.0, size=(50, 3))
     lo, hi = np.zeros(3), np.ones(3)
     params = params_for(3, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P, P.copy(), lo, hi, *sbx_variates(50, hi - lo, params, rng))
-    assert np.array_equal(C1, P) and np.array_equal(C2, P)
+    C = stacked_sbx(P, P.copy(), lo, hi, params, rng)
+    assert np.array_equal(C, np.concatenate([P, P]))
 
 
 def test_sbx_zero_probability_returns_copies():
     rng = np.random.default_rng(1)
-    P1, P2 = np.full((5, 1), 0.2), np.full((5, 1), 0.8)
+    P = np.concatenate([np.full((5, 1), 0.2), np.full((5, 1), 0.8)])
     params = params_for(1, crossover_prob=0.0)
     lo, hi = np.zeros(1), np.ones(1)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(5, hi - lo, params, rng))
-    assert np.all(C1 == 0.2) and np.all(C2 == 0.8)
-    C1[0, 0] = 99.0
-    assert P1[0, 0] == 0.2  # children are copies, not views
+    C = sbx_crossover(P, lo, hi, *sbx_variates(5, hi - lo, params, rng))
+    assert np.all(C[:5] == 0.2) and np.all(C[5:] == 0.8)
+    C[0, 0] = 99.0
+    assert P[0, 0] == 0.2  # children are copies, not views
 
 
 def test_sbx_preserves_pair_mean_inside_wide_box():
@@ -385,8 +393,8 @@ def test_sbx_preserves_pair_mean_inside_wide_box():
     lo, hi = np.full(2, -100.0), np.full(2, 100.0)
     rng = np.random.default_rng(0)
     params = params_for(2, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(200, hi - lo, params, rng))
-    assert C1 + C2 == pytest.approx(P1 + P2, abs=1e-9)
+    C = stacked_sbx(P1, P2, lo, hi, params, rng)
+    assert C[:200] + C[200:] == pytest.approx(P1 + P2, abs=1e-9)
 
 
 def test_sbx_offspring_order_is_randomized():
@@ -396,7 +404,7 @@ def test_sbx_offspring_order_is_randomized():
     lo, hi = np.zeros(1), np.ones(1)
     rng = np.random.default_rng(0)
     params = params_for(1, crossover_prob=1.0)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(100, hi - lo, params, rng))
+    C1, C2 = np.split(stacked_sbx(P1, P2, lo, hi, params, rng), 2)
     moved = C1[:, 0] != 0.3
     assert set((C1[moved, 0] < C2[moved, 0]).tolist()) == {True, False}
 
@@ -409,9 +417,8 @@ def test_sbx_respects_bounds(seed):
     P2 = np.tile([0.98, 0.02, 0.51], (8, 1))
     params = params_for(3, crossover_prob=1.0)
     lo, hi = np.zeros(3), np.ones(3)
-    C1, C2 = sbx_crossover(P1, P2, lo, hi, *sbx_variates(8, hi - lo, params, rng))
-    for C in (C1, C2):
-        assert np.all(C >= 0.0) and np.all(C <= 1.0)
+    C = stacked_sbx(P1, P2, lo, hi, params, rng)
+    assert np.all(C >= 0.0) and np.all(C <= 1.0)
 
 
 def test_mutation_zero_rate_is_identity():
@@ -470,18 +477,45 @@ BOXES = [(0.0, 1.0), (-1.0, 1.0), (-0.0, 0.5), (-1.0, -0.0)]
 @pytest.mark.parametrize("box", BOXES)
 def test_sbx_matches_reference_bit_for_bit(crossover_prob, eta, box):
     """SBX on the variates ``nsga2._variates`` makes from a generation's
-    uniforms equals the reference's plain expressions on the same uniforms."""
+    uniforms equals the reference's plain expressions on the same uniforms:
+    the children of the parents ``[P1; P2]`` are the reference's
+    ``[C1; C2]``."""
     params = params_for(3, crossover_prob=crossover_prob, crossover_eta=eta)
     lo, hi = np.full(3, box[0]), np.full(3, box[1])
     for seed in range(10):
         P1, P2 = edge_cells(seed, (12, 3)), edge_cells(seed + 100, (12, 3))
         P2[:4] = P1[:4]  # equal parents
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sbx_crossover(P1, P2, lo, hi, *sbx_variates(12, hi - lo, params, rng))
+        got = stacked_sbx(P1, P2, lo, hi, params, rng)
         want = reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert same_bits(got, np.concatenate(want))
         # the reference draws as many uniforms as the engine's SBX section holds
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=200)
+@given(
+    pairs=st.integers(2, 40),
+    n_vars=st.integers(1, 8),
+    box=st.one_of(
+        st.sampled_from(BOXES),
+        st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 20.0)).map(lambda t: (t[0], t[0] + t[1])),
+    ),
+    crossover_prob=st.sampled_from([0.0, 0.75, 1.0]),
+    eta=st.floats(0.5, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_sbx_matches_the_reference_pairs(pairs, n_vars, box, crossover_prob, eta, seed):
+    """For any even population, dimension and box, the children of the
+    parents ``[P1; P2]`` are the reference's ``[C1; C2]`` bit for bit."""
+    params = params_for(n_vars, crossover_prob=crossover_prob, crossover_eta=eta)
+    lo, hi = np.full(n_vars, box[0]), np.full(n_vars, box[1])
+    # edge cells stretched over the box: some outside it, some on its bounds, NaN
+    P1, P2 = (lo + (hi - lo) * edge_cells(seed + i, (pairs, n_vars)) for i in (0, 1))
+    P2[: pairs // 3] = P1[: pairs // 3]  # equal parents
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = stacked_sbx(P1, P2, lo, hi, params, rng)
+    assert same_bits(got, np.concatenate(reference_sbx_crossover(P1, P2, lo, hi, params, ref_rng)))
 
 
 @pytest.mark.parametrize("rate", [0.0, None, 1.0])
